@@ -11,27 +11,9 @@ from .core import (
     PrototypeSet,
     StreamPoint,
     min_pairwise_center_distance_sq,
-    validate_membership,
 )
-from .cvi import (
-    INDEX_FAMILIES,
-    IndexState,
-    IndexValue,
-    batch_db_oracle,
-    batch_xb_oracle,
-    db_lambda_update,
-    db_update,
-    new_index_state,
-    xb_lambda_update,
-    xb_update,
-)
-from .dispersion import (
-    DispersionState,
-    batch_dispersion_oracle,
-    make_state,
-    update_dispersion,
-    update_dispersion_forgetting,
-)
+from .cvi import INDEX_FAMILIES, IndexSet, IndexValue
+from .dispersion import Accumulators, new_accumulators, update_dispersion
 from .engine import RunConfig, StreamEngine, init_icvi_state, run
 from .oec import OecConfig, chi2_inverse, mahalanobis_sq, oec_init, oec_membership, oec_step
 from .skmeans import SkMeansState, skmeans_init, skmeans_step

@@ -25,6 +25,13 @@ from .stream_io import (
 
 DEFAULT_SCENARIO_FILE = Path(__file__).resolve().parents[2] / "scenarios.ini"
 
+# Every key _scenario_config reads; any other key in a scenario is an error.
+SCENARIO_KEYS = (
+    "dataset", "input", "features", "label_column", "seed",
+    "algorithm", "k", "indices", "lambda", "icvi_init", "emit_labels",
+    "gamma_out", "n_s", "lambda_oec",
+)
+
 
 def cmd_generate(args) -> int:
     gen = datagen.GENERATORS[args.dataset]
@@ -54,6 +61,12 @@ def _load_scenario(path: Path, name: str) -> configparser.SectionProxy:
     if name not in parser:
         known = ", ".join(parser.sections())
         raise SystemExit(f"unknown scenario {name!r} in {path} (known: {known})")
+    for key in parser[name]:
+        if key not in SCENARIO_KEYS:
+            raise SystemExit(
+                f"scenario {name!r} in {path}: unknown key {key!r} "
+                f"(known: {', '.join(SCENARIO_KEYS)})"
+            )
     return parser[name]
 
 
@@ -62,7 +75,6 @@ def _scenario_config(sec, args) -> tuple[RunConfig, dict]:
     lam = args.lam if args.lam is not None else sec.getfloat("lambda", 0.9)
     seed = args.seed if args.seed is not None else sec.getint("seed", 0)
     oec = OecConfig(
-        gamma_eff=sec.getfloat("gamma_eff", 0.99),
         gamma_out=sec.getfloat("gamma_out", 0.999),
         n_s=sec.getint("n_s", 20),
         lambda_oec=sec.getfloat("lambda_oec", 0.9),
@@ -74,7 +86,6 @@ def _scenario_config(sec, args) -> tuple[RunConfig, dict]:
         indices=tuple(s.strip() for s in indices.split(",") if s.strip()),
         lam=lam,
         icvi_init=sec.get("icvi_init", "paper"),
-        seed=seed,
         emit_labels=sec.getboolean("emit_labels", fallback=False),
     )
     source = {

@@ -8,8 +8,6 @@ from functools import lru_cache
 
 import numpy as np
 
-MEMBERSHIP_SUM_TOL = 1e-12
-
 
 def _all_finite(v: np.ndarray) -> bool:
     # A non-finite entry always poisons the sum (inf - inf gives nan).
@@ -88,34 +86,19 @@ class PrototypeSet:
         return self.centers[i]
 
 
-def validate_membership(u: MembershipVector) -> str | None:
-    """Return None when the membership vector is valid, else a violation message."""
-    if u.u.shape[0] == 0:
-        raise ValueError("membership vector is empty")
-    vec = u.u
-    if np.any(vec < 0.0) or np.any(vec > 1.0):
-        return "entry outside [0, 1]"
-    if u.kind == "crisp":
-        ones = np.sum(vec == 1.0)
-        zeros = np.sum(vec == 0.0)
-        if ones != 1 or zeros != vec.shape[0] - 1:
-            return "crisp vector is not one-hot"
-        return None
-    if abs(float(np.sum(vec)) - 1.0) > MEMBERSHIP_SUM_TOL:
-        return "sum != 1"
-    return None
-
-
 @lru_cache(maxsize=128)
 def _upper_triangle(k: int):
     return np.triu_indices(k, k=1)
+
+
+def pairwise_sq_distances(C: np.ndarray) -> np.ndarray:
+    """(k, k) squared Euclidean distances between the rows of a (k, p) array."""
+    diff = C[:, None, :] - C[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
 
 
 def min_pairwise_center_distance_sq(V: PrototypeSet) -> float:
     """Minimum squared Euclidean distance over unordered pairs of centers."""
     if V.k < 2:
         raise ValueError("need at least two centers for a pairwise distance")
-    C = V.centers
-    diff = C[:, None, :] - C[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    return float(np.min(d2[_upper_triangle(V.k)]))
+    return float(np.min(pairwise_sq_distances(V.centers)[_upper_triangle(V.k)]))

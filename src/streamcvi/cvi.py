@@ -8,6 +8,10 @@ produced by an online clusterer:
     db        : mean_i max_{j!=i} (L_i + L_j) / ||v_i - v_j||^2, L_i = C_i / M_i
     db_lambda : same with L_i = C_lam_i / max(1, M_lam_i)
 
+Every variant is a read-out of per-cluster accumulators (C, G, M): xb and db
+read the lam=1 sums, xb_lambda and db_lambda the lam sums. An IndexSet keeps
+one accumulator set per forgetting factor its families need, so at most two.
+
 Both indices are min-optimal. Undefined steps (coincident centers, or a
 single cluster for DB) are flagged, never raised: the state still advances.
 """
@@ -16,19 +20,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from functools import lru_cache
-
-from .core import MembershipVector, PrototypeSet, min_pairwise_center_distance_sq
-from .dispersion import (
-    DispersionState,
-    make_state,
-    update_dispersion,
-    update_dispersion_forgetting,
-)
+from .core import MembershipVector, PrototypeSet, pairwise_sq_distances
+from .dispersion import Accumulators, grow, new_accumulators, update_dispersion
 
 log = logging.getLogger(__name__)
 
@@ -48,187 +46,103 @@ class IndexValue:
     defined: bool = True
 
 
-@dataclass(frozen=True)
-class IndexState:
-    """State of one index variant: per-cluster dispersion plus separation."""
+def _undefined(n: int, k: int) -> IndexValue:
+    return IndexValue(value=math.nan, n=n, k=k, defined=False)
 
-    per_cluster: tuple[DispersionState, ...]
+
+def _xb_value(acc: Accumulators, h: float, n: int) -> IndexValue:
+    k = acc.k
+    if h <= 0.0:
+        log.debug("XB undefined at n=%d: zero separation", n)
+        return _undefined(n, k)
+    J = sum(acc.C.tolist())
+    if acc.lam == 1.0:
+        return IndexValue(value=J / (n * h), n=n, k=k)
+    return IndexValue(value=(1.0 - acc.lam) * J / h, n=n, k=k)
+
+
+def _db_value(acc: Accumulators, gaps, n: int) -> IndexValue:
+    """``gaps`` is the (k, k) squared center distances with inf on the diagonal."""
+    k = acc.k
+    if gaps is None:
+        return _undefined(n, k)
+    if acc.lam == 1.0:
+        # An empty cluster (no membership mass yet) contributes L = 0.
+        L = np.where(acc.M == 0.0, 0.0, acc.C / np.where(acc.M == 0.0, 1.0, acc.M))
+    else:
+        L = acc.C / np.maximum(1.0, acc.M)
+    ratios = (L[:, None] + L[None, :]) / gaps
+    value = float(np.where(_offdiag(k), ratios, -np.inf).max(axis=1).mean())
+    return IndexValue(value=value, n=n, k=k)
+
+
+@dataclass(frozen=True)
+class IndexSet:
+    """State of every enabled index family: one immutable value per stream point.
+
+    ``plain`` holds the lam=1 accumulators (xb, db), ``forgetting`` the lam
+    ones (xb_lambda, db_lambda); a slot no enabled family reads is None.
+    ``h`` is the XB separation of the last step: the minimum squared center
+    gap, or while k == 1 the running max of ||v_1 - x||^2.
+    """
+
+    families: tuple[str, ...]
+    plain: Accumulators | None
+    forgetting: Accumulators | None
     h: float
     n: int
-    lam: float
-    family: str
+
+    @classmethod
+    def start(cls, families, k: int, p: int, lam: float = 1.0,
+              n0: int = 0, M0: float = 0.0) -> "IndexSet":
+        """Fresh state after ``n0`` warm-up points, each cluster holding mass M0."""
+        families = tuple(families)
+        for fam in families:
+            if fam not in INDEX_FAMILIES:
+                raise ValueError(f"unknown index family {fam!r}")
+        forgetting = any(fam.endswith("_lambda") for fam in families)
+        if forgetting and not (0.0 < lam < 1.0):
+            raise ValueError("forgetting variants need lam in (0, 1)")
+        plain = any(not fam.endswith("_lambda") for fam in families)
+        return cls(
+            families=families,
+            plain=new_accumulators(k, p, M0=M0) if plain else None,
+            forgetting=new_accumulators(k, p, lam=lam, M0=M0) if forgetting else None,
+            h=0.0,
+            n=n0,
+        )
 
     @property
-    def k(self) -> int:
-        return len(self.per_cluster)
+    def accumulators(self) -> tuple[Accumulators, ...]:
+        return tuple(a for a in (self.plain, self.forgetting) if a is not None)
 
+    def float_count(self) -> int:
+        return 2 + sum(a.float_count() for a in self.accumulators)  # + h, n
 
-def new_index_state(
-    family: str, k: int, p: int, lam: float = 1.0, n0: int = 0, M0: float = 0.0
-) -> IndexState:
-    if family not in INDEX_FAMILIES:
-        raise ValueError(f"unknown index family {family!r}")
-    forgetting = family.endswith("_lambda")
-    if forgetting and not (0.0 < lam < 1.0):
-        raise ValueError("forgetting variants need lam in (0, 1)")
-    state_lam = lam if forgetting else 1.0
-    states = tuple(make_state(p, lam=state_lam, M0=M0) for _ in range(k))
-    return IndexState(per_cluster=states, h=0.0, n=n0, lam=state_lam, family=family)
-
-
-def add_cluster(state: IndexState, p: int) -> IndexState:
-    """Append a zero-initialized dispersion state for a newly created cluster."""
-    extra = make_state(p, lam=state.lam)
-    return replace(state, per_cluster=state.per_cluster + (extra,))
-
-
-def _advance(state: IndexState, V_old: PrototypeSet, V_new: PrototypeSet,
-             u: MembershipVector, x: np.ndarray) -> tuple[DispersionState, ...]:
-    k = state.k
-    if V_old.k != k or V_new.k != k or u.k != k:
-        raise ValueError(
-            f"step shapes (k={V_old.k}/{V_new.k}/{u.k}) disagree with state k={k}"
+    def step(self, V_old: PrototypeSet, V_new: PrototypeSet, u: MembershipVector,
+             x: np.ndarray) -> tuple["IndexSet", dict[str, IndexValue]]:
+        """Advance by one clustering step; returns the new state and each
+        family's value. Clusters born this step (V_new.k above the current k)
+        get empty accumulators first; ``x`` must be a finite (p,) array."""
+        k = V_new.k
+        plain, forgetting = (
+            None if a is None
+            else update_dispersion(grow(a, k), V_old.centers, V_new.centers, u.u, x)
+            for a in (self.plain, self.forgetting)
         )
-    step = update_dispersion if state.lam == 1.0 else update_dispersion_forgetting
-    return tuple(
-        step(ds, V_old[i], V_new[i], float(u.u[i]), x)
-        for i, ds in enumerate(state.per_cluster)
-    )
-
-
-def _separation(state: IndexState, V_new: PrototypeSet, x: np.ndarray) -> float:
-    """h for the XB denominator; a running max of ||v1 - x||^2 when k == 1."""
-    if V_new.k >= 2:
-        return min_pairwise_center_distance_sq(V_new)
-    d = V_new[0] - x
-    return max(state.h, float(d @ d))
-
-
-def _xb_value(state: IndexState, clusters, h: float, n_new: int) -> IndexValue:
-    J = sum(ds.C for ds in clusters)
-    k = len(clusters)
-    if h <= 0.0:
-        log.debug("XB undefined at n=%d: zero separation", n_new)
-        return IndexValue(value=math.nan, n=n_new, k=k, defined=False)
-    if state.lam == 1.0:
-        return IndexValue(value=J / (n_new * h), n=n_new, k=k)
-    return IndexValue(value=(1.0 - state.lam) * J / h, n=n_new, k=k)
-
-
-def _db_value(state: IndexState, clusters, V_new: PrototypeSet, n_new: int) -> IndexValue:
-    k = len(clusters)
-    if k < 2:
-        return IndexValue(value=math.nan, n=n_new, k=k, defined=False)
-    L = np.empty(k)
-    for i, ds in enumerate(clusters):
-        if state.lam == 1.0:
-            if ds.M == 0.0:
-                log.debug("empty cluster %d at n=%d: L set to 0", i, n_new)
-                L[i] = 0.0
-            else:
-                L[i] = ds.C / ds.M
+        n = self.n + 1
+        if k >= 2:
+            gaps = np.where(_offdiag(k), pairwise_sq_distances(V_new.centers), np.inf)
+            h = float(gaps.min())
+            if h <= 0.0:
+                log.debug("DB undefined at n=%d: coincident centers", n)
+                gaps = None
         else:
-            L[i] = ds.C / max(1.0, ds.M)
-    C = V_new.centers
-    diff = C[:, None, :] - C[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    off = _offdiag(k)
-    if np.any(d2[off] == 0.0):
-        log.debug("DB undefined at n=%d: coincident centers", n_new)
-        return IndexValue(value=math.nan, n=n_new, k=k, defined=False)
-    ratios = (L[:, None] + L[None, :]) / np.where(off, d2, np.inf)
-    value = float(np.mean(np.max(np.where(off, ratios, -np.inf), axis=1)))
-    return IndexValue(value=value, n=n_new, k=k)
-
-
-def _update(state, V_old, V_new, u, x, kind):
-    xv = np.asarray(x, dtype=float)
-    clusters = _advance(state, V_old, V_new, u, xv)
-    n_new = state.n + 1
-    if kind == "xb":
-        h = _separation(state, V_new, xv)
-        value = _xb_value(state, clusters, h, n_new)
-    else:
-        h = state.h if V_new.k < 2 else min_pairwise_center_distance_sq(V_new)
-        value = _db_value(state, clusters, V_new, n_new)
-    new_state = replace(state, per_cluster=clusters, h=h, n=n_new)
-    return new_state, value
-
-
-def xb_update(state: IndexState, V_old, V_new, u, x) -> tuple[IndexState, IndexValue]:
-    if state.family != "xb":
-        raise ValueError(f"state family is {state.family!r}, not 'xb'")
-    return _update(state, V_old, V_new, u, x, "xb")
-
-
-def xb_lambda_update(state: IndexState, V_old, V_new, u, x) -> tuple[IndexState, IndexValue]:
-    if state.family != "xb_lambda":
-        raise ValueError(f"state family is {state.family!r}, not 'xb_lambda'")
-    return _update(state, V_old, V_new, u, x, "xb")
-
-
-def db_update(state: IndexState, V_old, V_new, u, x) -> tuple[IndexState, IndexValue]:
-    if state.family != "db":
-        raise ValueError(f"state family is {state.family!r}, not 'db'")
-    return _update(state, V_old, V_new, u, x, "db")
-
-
-def db_lambda_update(state: IndexState, V_old, V_new, u, x) -> tuple[IndexState, IndexValue]:
-    if state.family != "db_lambda":
-        raise ValueError(f"state family is {state.family!r}, not 'db_lambda'")
-    return _update(state, V_old, V_new, u, x, "db")
-
-
-UPDATERS = {
-    "xb": xb_update,
-    "xb_lambda": xb_lambda_update,
-    "db": db_update,
-    "db_lambda": db_lambda_update,
-}
-
-
-def batch_xb_oracle(history, V: PrototypeSet) -> float:
-    """Direct evaluation of the batch Xie-Beni index (m=2, Euclidean norm).
-
-    ``history`` is a sequence of (x, u_vec) pairs over a fixed cluster count.
-    Test-only reference for the incremental path.
-    """
-    if len(history) == 0:
-        raise ValueError("history must be nonempty")
-    n = len(history)
-    J = 0.0
-    for x, u in history:
-        xv = np.asarray(x, dtype=float)
-        uv = np.asarray(u, dtype=float)
-        d2 = np.sum((V.centers - xv) ** 2, axis=1)
-        J += float(np.sum(uv * uv * d2))
-    h = min_pairwise_center_distance_sq(V)
-    return J / (n * h)
-
-
-def batch_db_oracle(history, V: PrototypeSet) -> float:
-    """Direct evaluation of the batch squared-distance Davies-Bouldin variant.
-
-    Empty clusters (zero membership mass) contribute L = 0, matching the
-    incremental convention.
-    """
-    if len(history) == 0:
-        raise ValueError("history must be nonempty")
-    k = V.k
-    if k < 2:
-        raise ValueError("DB needs at least two clusters")
-    num = np.zeros(k)
-    den = np.zeros(k)
-    for x, u in history:
-        xv = np.asarray(x, dtype=float)
-        uv = np.asarray(u, dtype=float)
-        d2 = np.sum((V.centers - xv) ** 2, axis=1)
-        num += uv * uv * d2
-        den += uv * uv
-    L = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
-    C = V.centers
-    diff = C[:, None, :] - C[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    off = _offdiag(k)
-    ratios = (L[:, None] + L[None, :]) / np.where(off, d2, np.inf)
-    return float(np.mean(np.max(np.where(off, ratios, -np.inf), axis=1)))
+            d = V_new[0] - x
+            h = max(self.h, float(d @ d))
+            gaps = None
+        values = {}
+        for fam in self.families:
+            acc = forgetting if fam.endswith("_lambda") else plain
+            values[fam] = _xb_value(acc, h, n) if fam.startswith("xb") else _db_value(acc, gaps, n)
+        return IndexSet(self.families, plain, forgetting, h, n), values

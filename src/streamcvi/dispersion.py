@@ -1,9 +1,10 @@
 """Exact one-step updates of the fuzzy within-cluster dispersion.
 
-The accumulator triple (C, G, M) makes the running dispersion exactly
-recomputable after the center moves, without re-reading history:
+For each cluster the accumulator triple (C, G, M) makes the running
+dispersion exactly recomputable after the center moves, without re-reading
+history:
 
-    C' = C + A + M*B + 2*Q          (no forgetting)
+    C' = C + A + M*B + 2*Q               (no forgetting, lam == 1)
     C' = lam*C + 2*lam*Q + lam*M*B + A   (exponential forgetting)
 
 with the per-step intermediates
@@ -11,6 +12,9 @@ with the per-step intermediates
     Q = (v_old - v_new) . G
     B = ||v_old - v_new||^2
     A = u^2 * ||x - v_new||^2
+
+All k clusters of one forgetting factor advance together: C and M are (k,)
+arrays and G is (k, p).
 """
 
 from __future__ import annotations
@@ -20,114 +24,85 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_vector
-
 log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
-class DispersionState:
-    """Per-cluster accumulators. lam=1 encodes the no-forgetting variant."""
+class Accumulators:
+    """(C, G, M) of every cluster under one forgetting factor; lam=1 means none.
 
-    C: float
-    G: np.ndarray
-    M: float
+    Treated as an immutable value: every update returns new arrays.
+    """
+
+    C: np.ndarray  # (k,) dispersion
+    G: np.ndarray  # (k, p) membership-weighted offsets from the center
+    M: np.ndarray  # (k,) accumulated squared membership
     lam: float = 1.0
 
-    def __post_init__(self):
-        if not isinstance(self.G, np.ndarray) or self.G.dtype != float:
-            object.__setattr__(self, "G", as_vector(self.G))
-        if not (0.0 < self.lam <= 1.0):
-            raise ValueError(f"forgetting factor must be in (0, 1], got {self.lam}")
-        if self.M < 0.0:
-            raise ValueError("accumulated squared membership must be nonnegative")
+    @property
+    def k(self) -> int:
+        return self.C.shape[0]
+
+    def float_count(self) -> int:
+        return self.C.size + self.G.size + self.M.size
 
 
-def make_state(p: int, lam: float = 1.0, M0: float = 0.0) -> DispersionState:
-    return DispersionState(C=0.0, G=np.zeros(p), M=float(M0), lam=lam)
+def new_accumulators(k: int, p: int, lam: float = 1.0, M0: float = 0.0) -> Accumulators:
+    """Empty accumulators for k clusters, each starting with membership mass M0."""
+    if not (0.0 < lam <= 1.0):
+        raise ValueError(f"forgetting factor must be in (0, 1], got {lam}")
+    if M0 < 0.0:
+        raise ValueError("accumulated squared membership must be nonnegative")
+    return Accumulators(C=np.zeros(k), G=np.zeros((k, p)), M=np.full(k, float(M0)), lam=lam)
 
 
-def _clamp_C(C: float) -> float:
-    if C < 0.0:
-        log.warning("dispersion accumulator clamped to 0 (raw value %.3e)", C)
-        return 0.0
+def grow(acc: Accumulators, k: int) -> Accumulators:
+    """Append empty accumulators for clusters created since the last step."""
+    extra = k - acc.k
+    if extra <= 0:
+        return acc
+    return Accumulators(
+        C=np.concatenate([acc.C, np.zeros(extra)]),
+        G=np.concatenate([acc.G, np.zeros((extra, acc.G.shape[1]))]),
+        M=np.concatenate([acc.M, np.zeros(extra)]),
+        lam=acc.lam,
+    )
+
+
+def _clamp_C(C: np.ndarray) -> np.ndarray:
+    if (C < 0.0).any():
+        log.warning("dispersion accumulator clamped to 0 (raw value %.3e)", float(C.min()))
+        return np.maximum(C, 0.0)
     return C
 
 
-def _vec(v, p: int) -> np.ndarray:
-    # Fast path for already-validated float vectors from the engine loop.
-    if isinstance(v, np.ndarray) and v.dtype == float and v.shape == (p,):
-        return v
-    return as_vector(v, p)
+def update_dispersion(acc: Accumulators, V_old, V_new, u, x) -> Accumulators:
+    """Advance every cluster's (C, G, M) by one sample.
 
-
-def _check_step(state, v_old, v_new, u_new, x_new):
-    p = state.G.shape[0]
-    v_old = _vec(v_old, p)
-    v_new = _vec(v_new, p)
-    x_new = as_vector(x_new, p)
-    if not np.isfinite(u_new) or not (0.0 <= u_new <= 1.0):
-        raise ValueError(f"membership must be a finite scalar in [0, 1], got {u_new}")
-    return v_old, v_new, x_new
-
-
-def update_dispersion(
-    state: DispersionState, v_old, v_new, u_new: float, x_new
-) -> DispersionState:
-    """One-step exact dispersion update (no forgetting; requires lam == 1)."""
-    if state.lam != 1.0:
-        raise ValueError("state carries a forgetting factor; use the forgetting update")
-    v_old, v_new, x_new = _check_step(state, v_old, v_new, u_new, x_new)
-    dv = v_old - v_new
-    u2 = u_new * u_new
-    r = x_new - v_new
-    Q = float(dv @ state.G)
-    B = float(dv @ dv)
-    A = u2 * float(r @ r)
-    C = _clamp_C(state.C + A + state.M * B + 2.0 * Q)
-    G = state.G + state.M * dv + u2 * r
-    M = state.M + u2
-    return DispersionState(C=C, G=G, M=M, lam=1.0)
-
-
-def update_dispersion_forgetting(
-    state: DispersionState, v_old, v_new, u_new: float, x_new
-) -> DispersionState:
-    """One-step dispersion update with geometric down-weighting of history.
-
-    At lam == 1 this reduces bit-for-bit to the plain update, which is handy
-    for limit checks; streaming configurations use lam in (0, 1).
+    ``V_old``/``V_new`` are the (k, p) centers before and after the clustering
+    step, ``u`` the (k,) memberships of ``x`` in [0, 1]. The caller validates
+    that ``x`` is a finite (p,) float vector.
     """
-    v_old, v_new, x_new = _check_step(state, v_old, v_new, u_new, x_new)
-    lam = state.lam
-    dv = v_old - v_new
-    u2 = u_new * u_new
-    r = x_new - v_new
-    Q = float(dv @ state.G)
-    B = float(dv @ dv)
-    A = u2 * float(r @ r)
+    if V_old.shape != acc.G.shape or V_new.shape != acc.G.shape or u.shape != acc.C.shape:
+        raise ValueError(
+            f"step shapes (centers {V_old.shape}/{V_new.shape}, memberships {u.shape}) "
+            f"disagree with accumulators of shape {acc.G.shape}"
+        )
+    if x.shape != acc.G.shape[1:]:
+        raise ValueError(f"expected dimension {acc.G.shape[1]}, got shape {x.shape}")
+    if not (u.min() >= 0.0 and u.max() <= 1.0):
+        raise ValueError(f"memberships must be finite and in [0, 1], got {u}")
+    lam = acc.lam
+    dV = V_old - V_new
+    R = x - V_new
+    u2 = u * u
+    Q = np.einsum("ij,ij->i", dV, acc.G)
+    B = np.einsum("ij,ij->i", dV, dV)
+    A = u2 * np.einsum("ij,ij->i", R, R)
+    lam_M = lam * acc.M
     if lam == 1.0:
-        # Same summation order as the plain update so the reduction is exact.
-        C = _clamp_C(state.C + A + state.M * B + 2.0 * Q)
+        C = acc.C + A + acc.M * B + 2.0 * Q
     else:
-        C = _clamp_C(lam * state.C + 2.0 * lam * Q + lam * state.M * B + A)
-    G = lam * state.G + lam * state.M * dv + u2 * r
-    M = lam * state.M + u2
-    return DispersionState(C=C, G=G, M=M, lam=lam)
-
-
-def batch_dispersion_oracle(history, v_final, lam: float = 1.0) -> float:
-    """Direct O(n*p) summation of the dispersion over a stored history.
-
-    ``history`` is a sequence of (x, u) pairs; the most recent pair last.
-    Test-only reference: the incremental updates must match this value.
-    """
-    if len(history) == 0:
-        raise ValueError("history must be nonempty")
-    v = np.asarray(v_final, dtype=float)
-    n = len(history)
-    total = 0.0
-    for j, (x, u) in enumerate(history, start=1):
-        d = np.asarray(x, dtype=float) - v
-        total += lam ** (n - j) * (u * u) * float(d @ d)
-    return total
+        C = lam * acc.C + 2.0 * lam * Q + lam_M * B + A
+    G = lam * acc.G + lam_M[:, None] * dV + u2[:, None] * R
+    return Accumulators(C=_clamp_C(C), G=G, M=lam_M + u2, lam=lam)

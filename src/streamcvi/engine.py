@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import PrototypeSet, as_vector
-from .cvi import INDEX_FAMILIES, UPDATERS, IndexState, add_cluster, new_index_state
+from .cvi import INDEX_FAMILIES, IndexSet
 from .oec import OecConfig, oec_init, oec_step
 from .skmeans import skmeans_init, skmeans_step
 from .stream_io import EventRecord, TraceRecord
@@ -28,7 +28,6 @@ class RunConfig:
     indices: tuple[str, ...] = INDEX_FAMILIES
     lam: float = 0.9                         # forgetting factor of *_lambda indices
     icvi_init: str = "paper"                 # "paper" | "zeros"
-    seed: int = 0
     emit_labels: bool = False
 
     def __post_init__(self):
@@ -50,17 +49,14 @@ class RunConfig:
 def init_icvi_state(
     mode: str, n_warmup: int, k: int, p: int,
     indices=INDEX_FAMILIES, lam: float = 0.9,
-) -> dict[str, IndexState]:
-    """Fresh index states at the start of evaluation.
+) -> IndexSet:
+    """Fresh index state at the start of evaluation.
 
     "paper" mode seeds every cluster's membership-mass accumulator with the
     warm-up count; "zeros" starts all accumulators at zero.
     """
     M0 = float(n_warmup) if mode == "paper" else 0.0
-    return {
-        fam: new_index_state(fam, k, p, lam=lam, n0=n_warmup, M0=M0)
-        for fam in indices
-    }
+    return IndexSet.start(indices, k, p, lam=lam, n0=n_warmup, M0=M0)
 
 
 class StreamEngine:
@@ -70,7 +66,7 @@ class StreamEngine:
         self.config = config
         self._buffer: list[np.ndarray] = []
         self._cluster_state = None
-        self._index_states: dict[str, IndexState] | None = None
+        self._indices: IndexSet | None = None
         self._n = 0
         self.trace: list[TraceRecord] = []
         self.events: list[EventRecord] = []
@@ -100,7 +96,7 @@ class StreamEngine:
             else:
                 self._cluster_state = oec_init(self._buffer, cfg.oec)
                 k0 = 1
-            self._index_states = init_icvi_state(
+            self._indices = init_icvi_state(
                 cfg.icvi_init, self._n, k0, p, cfg.indices, cfg.lam
             )
             self._buffer = []
@@ -117,13 +113,9 @@ class StreamEngine:
         for kind, detail in step_events:
             self.events.append(EventRecord(n=self._n, kind=kind, detail=detail))
 
+        self._indices, step_values = self._indices.step(V_old, V_new, u, x)
         values: dict[str, float | None] = {}
-        for fam in cfg.indices:
-            state = self._index_states[fam]
-            while state.k < V_new.k:
-                state = add_cluster(state, V_new.p)
-            state, val = UPDATERS[fam](state, V_old, V_new, u, x)
-            self._index_states[fam] = state
+        for fam, val in step_values.items():
             if val.defined:
                 values[fam] = val.value
             else:
@@ -153,11 +145,7 @@ class StreamEngine:
             for pr in cs.protos:
                 total += pr.m.size + pr.cov.size + pr.S_inv.size + 2
             total += cs.forget.m.size + cs.forget.S.size + 1
-        for state in (self._index_states or {}).values():
-            total += 2  # h, n
-            for ds in state.per_cluster:
-                total += ds.G.size + 2
-        return total
+        return total + self._indices.float_count()
 
 
 def run(points, config: RunConfig, change_events=()) -> tuple[list, list]:

@@ -1,16 +1,15 @@
 """Simplified online ellipsoidal clustering.
 
-Each cluster is an ellipsoidal prototype (mean, inverse covariance) with two
-chi-squared Mahalanobis boundaries: an effective boundary for typical members
-and a wider outlier boundary. Soft memberships come from the fuzzy k-means
-formula over squared Mahalanobis distances. A separate forgetful prototype
-tracks the recent stream with exponential decay; when its center stays outside
-every stabilized cluster's outlier boundary for a full stabilization period, a
-new cluster is spawned from it.
+Each cluster is an ellipsoidal prototype (mean, inverse covariance) with a
+chi-squared Mahalanobis outlier boundary. Soft memberships come from the
+fuzzy k-means formula over squared Mahalanobis distances. A separate
+forgetful prototype tracks the recent stream with exponential decay; when its
+center stays outside every stabilized cluster's outlier boundary for a full
+stabilization period, a new cluster is spawned from it.
 
 This is deliberately a reduced algorithm: no merging, no guard-zone geometry
-beyond the two ellipsoids. The clustering interface (step in, memberships and
-center snapshots out) isolates it so a richer clusterer can be swapped in.
+beyond the outlier ellipsoid. The clustering interface (step in, memberships
+and center snapshots out) isolates it so a richer clusterer can be swapped in.
 """
 
 from __future__ import annotations
@@ -28,16 +27,14 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class OecConfig:
-    gamma_eff: float = 0.99
     gamma_out: float = 0.999
     n_s: int = 20
     lambda_oec: float = 0.9
-    m_fuzz: float = 2.0
     harden: bool = False  # report one-hot memberships instead of fuzzy ones
 
     def __post_init__(self):
-        if not (0.0 < self.gamma_eff < self.gamma_out < 1.0):
-            raise ValueError("need 0 < gamma_eff < gamma_out < 1")
+        if not (0.0 < self.gamma_out < 1.0):
+            raise ValueError("need 0 < gamma_out < 1")
         if not (0.0 < self.lambda_oec < 1.0):
             raise ValueError("lambda_oec must be in (0, 1)")
         if self.n_s < 1:
@@ -96,7 +93,7 @@ def _membership_from_distances(F: np.ndarray) -> MembershipVector:
 
 
 def oec_membership(x, protos) -> MembershipVector:
-    """Fuzzy k-means memberships over squared Mahalanobis distances (m_fuzz=2).
+    """Fuzzy k-means memberships over squared Mahalanobis distances (fuzzifier m=2).
 
     A zero distance yields a one-hot vector at the lowest zero-distance index.
     """
@@ -150,7 +147,6 @@ class OecState:
     protos: tuple[EllipsoidalPrototype, ...]
     forget: _ForgetfulStats
     outside_streak: int = 0
-    chi2_eff: float = 0.0
     chi2_out: float = 0.0
 
     @property
@@ -187,7 +183,6 @@ def oec_init(first_points, config: OecConfig) -> OecState:
     return OecState(
         protos=(proto,),
         forget=forget,
-        chi2_eff=chi2_inverse(p, config.gamma_eff),
         chi2_out=chi2_inverse(p, config.gamma_out),
     )
 
@@ -275,7 +270,6 @@ def oec_step(state: OecState, x_new, config: OecConfig):
         protos=tuple(protos),
         forget=forget,
         outside_streak=streak,
-        chi2_eff=state.chi2_eff,
         chi2_out=state.chi2_out,
     )
     V_new = new_state.centers()

@@ -1,10 +1,11 @@
 """Randomized incremental-vs-batch equivalence checks.
 
 Each trial builds a random stream (fuzzy Dirichlet memberships, centers on a
-random walk), advances the incremental index states step by step, and at every
-step recomputes each index from the stored history by direct summation of the
-batch formulas. The direct summation is vectorized but never reuses any
-incremental accumulator, so the two routes stay independent.
+random walk), advances the same IndexSet the engine uses step by step, and at
+every step recomputes each index from the stored history by direct summation
+of the batch formulas. The direct summation is vectorized but never reuses any
+incremental accumulator, so the two routes stay independent. The batch_*
+functions are the package's only batch oracles.
 """
 
 from __future__ import annotations
@@ -13,9 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MembershipVector, PrototypeSet, min_pairwise_center_distance_sq
-from .cvi import UPDATERS, new_index_state
-from .dispersion import make_state, update_dispersion, update_dispersion_forgetting
+from .core import (
+    MembershipVector,
+    PrototypeSet,
+    min_pairwise_center_distance_sq,
+    pairwise_sq_distances,
+)
+from .cvi import IndexSet
+from .dispersion import new_accumulators, update_dispersion
 
 REL_TOL = 1e-8
 
@@ -26,6 +32,8 @@ def batch_accumulators(X, U, V, lam=1.0):
     X: (n, p) history, U: (n, k) memberships, V: (k, p) current centers.
     """
     n = X.shape[0]
+    if n == 0:
+        raise ValueError("history must be nonempty")
     w = lam ** (n - np.arange(1, n + 1))
     d2 = np.sum((X[:, None, :] - V[None, :, :]) ** 2, axis=2)
     U2 = U * U
@@ -48,8 +56,9 @@ def batch_xb_lambda(X, U, V, lam):
 
 def _db_from_L(L, V):
     k = V.shape[0]
-    diff = V[:, None, :] - V[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    if k < 2:
+        raise ValueError("DB needs at least two clusters")
+    d2 = pairwise_sq_distances(V)
     off = ~np.eye(k, dtype=bool)
     ratios = (L[:, None] + L[None, :]) / np.where(off, d2, np.inf)
     return float(np.mean(np.max(np.where(off, ratios, -np.inf), axis=1)))
@@ -112,8 +121,8 @@ def run_trial(seed: int, n=None, k=None, p=None, lam=None, empty_cluster=False) 
     lam = lam if lam is not None else float(rng.choice([1.0, 0.9, 0.5]))
     X, U, Vs = random_stream(rng, n, k, p, empty_cluster=empty_cluster)
 
-    families = ["xb", "db"] if lam == 1.0 else ["xb", "db", "xb_lambda", "db_lambda"]
-    states = {fam: new_index_state(fam, k, p, lam=lam) for fam in families}
+    families = ("xb", "db") if lam == 1.0 else ("xb", "db", "xb_lambda", "db_lambda")
+    indices = IndexSet.start(families, k, p, lam=lam)
     report = TrialReport(seed=seed, lam=lam, k=k, p=p, n=n)
     for fam in families:
         report.max_rel_err[fam] = 0.0
@@ -129,9 +138,8 @@ def run_trial(seed: int, n=None, k=None, p=None, lam=None, empty_cluster=False) 
         V_old = PrototypeSet(Vs[t - 1])
         V_new = PrototypeSet(Vs[t])
         u = MembershipVector(np.clip(U[t - 1], 0.0, 1.0), kind="fuzzy")
-        x = X[t - 1]
-        for fam in families:
-            states[fam], val = UPDATERS[fam](states[fam], V_old, V_new, u, x)
+        indices, values = indices.step(V_old, V_new, u, X[t - 1])
+        for fam, val in values.items():
             if not val.defined:
                 continue
             err = _rel(val.value, oracles[fam](t))
@@ -142,18 +150,29 @@ def run_trial(seed: int, n=None, k=None, p=None, lam=None, empty_cluster=False) 
 
 
 def lambda_one_consistency(seed: int, n=200, k=3, p=2) -> float:
-    """Max |C - C_lambda| over a stream where the forgetting update runs at
-    lam=1; the two recursions must coincide exactly."""
+    """Max |difference| in (C, G, M) between one k-row accumulator update at
+    lam=1 and k independent one-row updates of the same clusters. The shared
+    vectorized update must treat each cluster's row on its own, so the two
+    agree exactly."""
     rng = np.random.default_rng(seed)
     X, U, Vs = random_stream(rng, n, k, p)
+    U = np.clip(U, 0.0, 1.0)
+    whole = new_accumulators(k, p)
+    rows = [new_accumulators(1, p) for _ in range(k)]
     worst = 0.0
-    plain = [make_state(p, lam=1.0) for _ in range(k)]
-    ff = [make_state(p, lam=1.0) for _ in range(k)]
     for t in range(1, n + 1):
+        whole = update_dispersion(whole, Vs[t - 1], Vs[t], U[t - 1], X[t - 1])
         for i in range(k):
-            plain[i] = update_dispersion(plain[i], Vs[t - 1][i], Vs[t][i], U[t - 1][i], X[t - 1])
-            ff[i] = update_dispersion_forgetting(ff[i], Vs[t - 1][i], Vs[t][i], U[t - 1][i], X[t - 1])
-            worst = max(worst, abs(plain[i].C - ff[i].C))
+            one = slice(i, i + 1)
+            rows[i] = update_dispersion(
+                rows[i], Vs[t - 1][one], Vs[t][one], U[t - 1][one], X[t - 1]
+            )
+            worst = max(
+                worst,
+                abs(whole.C[i] - rows[i].C[0]),
+                abs(whole.M[i] - rows[i].M[0]),
+                float(np.max(np.abs(whole.G[i] - rows[i].G[0]))),
+            )
     return worst
 
 
@@ -162,14 +181,15 @@ def k1_xb_trial(seed: int, n=150, p=2) -> float:
     recomputation of the same recurrence from stored history."""
     rng = np.random.default_rng(seed)
     X, U, Vs = random_stream(rng, n, 1, p)
-    state = new_index_state("xb", 1, p)
+    indices = IndexSet.start(("xb",), 1, p)
     worst = 0.0
     h_ref = 0.0
     for t in range(1, n + 1):
-        state, val = UPDATERS["xb"](
-            state, PrototypeSet(Vs[t - 1]), PrototypeSet(Vs[t]),
+        indices, values = indices.step(
+            PrototypeSet(Vs[t - 1]), PrototypeSet(Vs[t]),
             MembershipVector(U[t - 1], kind="fuzzy"), X[t - 1],
         )
+        val = values["xb"]
         d = Vs[t][0] - X[t - 1]
         h_ref = max(h_ref, float(d @ d))
         C, _ = batch_accumulators(X[:t], U[:t], Vs[t])

@@ -16,6 +16,11 @@ dataset = s2
 algorithm = oec
 lambda = 0.9
 
+[misspelt-key]
+dataset = s3
+algorithm = oec
+gama_out = 0.99
+
 [needs-input]
 input = {input_path}
 features = 0,1
@@ -73,6 +78,14 @@ class TestRun:
     def test_unknown_scenario_lists_known(self, scenario_file):
         with pytest.raises(SystemExit, match="tiny-skmeans"):
             main(["run", "nope", "--scenario-file", str(scenario_file)])
+
+    def test_unknown_key_names_key_and_known_keys(self, tmp_path, scenario_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "misspelt-key", "--scenario-file", str(scenario_file),
+                  "--out", str(tmp_path / "res")])
+        message = str(exc.value.code)
+        assert "'gama_out'" in message and "gamma_out" in message.split("known:")[1]
+        assert not (tmp_path / "res").exists()
 
     def test_missing_scenario_file_names_path(self, tmp_path):
         missing = tmp_path / "gone.ini"

@@ -8,8 +8,9 @@ from streamcvi.core import (
     PrototypeSet,
     StreamPoint,
     min_pairwise_center_distance_sq,
-    validate_membership,
 )
+
+from helpers import validate_membership
 
 
 class TestValidateMembership:

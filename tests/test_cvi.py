@@ -4,16 +4,7 @@ import numpy as np
 import pytest
 
 from streamcvi.core import MembershipVector, PrototypeSet
-from streamcvi.cvi import (
-    UPDATERS,
-    batch_db_oracle,
-    batch_xb_oracle,
-    db_lambda_update,
-    db_update,
-    new_index_state,
-    xb_lambda_update,
-    xb_update,
-)
+from streamcvi.cvi import INDEX_FAMILIES, IndexSet
 from streamcvi.verify import (
     batch_db,
     batch_db_lambda,
@@ -23,14 +14,21 @@ from streamcvi.verify import (
 )
 
 
+def update(family, state, V_old, V_new, u, x):
+    """One step of a single-family IndexSet; returns (state', value)."""
+    state, values = state.step(V_old, V_new, u, np.asarray(x, dtype=float))
+    return state, values[family]
+
+
 def drive(family, X, U, Vs, lam=1.0):
     """Run the incremental updater over a prebuilt stream, collecting values."""
     n, k = U.shape
     p = X.shape[1]
-    state = new_index_state(family, k, p, lam=lam)
+    state = IndexSet.start((family,), k, p, lam=lam)
     values = []
     for t in range(1, n + 1):
-        state, val = UPDATERS[family](
+        state, val = update(
+            family,
             state,
             PrototypeSet(Vs[t - 1]),
             PrototypeSet(Vs[t]),
@@ -41,38 +39,44 @@ def drive(family, X, U, Vs, lam=1.0):
     return state, values
 
 
+def hist_arrays(hist):
+    """[(x, u), ...] -> (X, U) arrays for the verify batch oracles."""
+    return (np.array([x for x, _ in hist], dtype=float),
+            np.array([u for _, u in hist], dtype=float))
+
+
 class TestXbUpdate:
     def test_direct_substitution(self):
         # k=2, centers 2 apart, all dispersion into cluster 0 via 4 unit-distance hits
-        state = new_index_state("xb", 2, 2)
+        state = IndexSet.start(("xb",), 2, 2)
         V = PrototypeSet(np.array([[0.0, 0.0], [2.0, 0.0]]))
         for t in range(5):
             x = [1.0, 0.0] if t < 4 else [0.0, 0.0]
             u = [1.0, 0.0] if t < 4 else [0.0, 1.0]
-            state, val = xb_update(state, V, V, MembershipVector(u, kind="crisp"), x)
+            state, val = update("xb", state, V, V, MembershipVector(u, kind="crisp"), x)
         # J = 4*1 + 1*4 = 8 ... compute expected directly instead
         hist = [([1.0, 0.0], [1.0, 0.0])] * 4 + [([0.0, 0.0], [0.0, 1.0])]
-        assert val.value == pytest.approx(batch_xb_oracle(hist, V), rel=1e-12)
+        assert val.value == pytest.approx(batch_xb(*hist_arrays(hist), V.centers), rel=1e-12)
         assert val.n == 5 and val.k == 2
 
     def test_k1_running_max(self):
-        state = new_index_state("xb", 1, 2)
+        state = IndexSet.start(("xb",), 1, 2)
         V = PrototypeSet(np.array([[0.0, 0.0]]))
         u = MembershipVector([1.0], kind="crisp")
-        state, _ = xb_update(state, V, V, u, [1.0, 1.0])
+        state, _ = update("xb", state, V, V, u, [1.0, 1.0])
         assert state.h == pytest.approx(2.0)
-        state, _ = xb_update(state, V, V, u, [0.5, 0.0])
+        state, _ = update("xb", state, V, V, u, [0.5, 0.0])
         assert state.h == pytest.approx(2.0)
 
     def test_coincident_centers_flagged_not_fatal(self):
-        state = new_index_state("xb", 2, 2)
+        state = IndexSet.start(("xb",), 2, 2)
         V = PrototypeSet(np.zeros((2, 2)))
         u = MembershipVector([0.5, 0.5], kind="fuzzy")
-        state, val = xb_update(state, V, V, u, [1.0, 1.0])
+        state, val = update("xb", state, V, V, u, [1.0, 1.0])
         assert not val.defined and math.isnan(val.value)
         assert state.n == 1  # state still advanced
         V2 = PrototypeSet(np.array([[0.0, 0.0], [3.0, 0.0]]))
-        state, val = xb_update(state, V, V2, u, [1.0, 0.0])
+        state, val = update("xb", state, V, V2, u, [1.0, 0.0])
         assert val.defined
 
     def test_matches_batch_at_every_step(self):
@@ -83,29 +87,24 @@ class TestXbUpdate:
             expected = batch_xb(X[:t], U[:t], Vs[t])
             assert values[t - 1].value == pytest.approx(expected, rel=1e-8)
 
-    def test_wrong_family_rejected(self):
-        state = new_index_state("db", 2, 2)
-        with pytest.raises(ValueError):
-            xb_update(state, None, None, None, None)
-
 
 class TestXbLambdaUpdate:
     def test_direct_substitution(self):
         # one first step into an empty two-cluster state: J_lam = A terms only
-        state = new_index_state("xb_lambda", 2, 2, lam=0.9)
+        state = IndexSet.start(("xb_lambda",), 2, 2, lam=0.9)
         V = PrototypeSet(np.array([[0.0, 0.0], [4.0, 0.0]]))
         u = MembershipVector([1.0, 0.0], kind="crisp")
-        state, val = xb_lambda_update(state, V, V, u, [2.0, 0.0])
+        state, val = update("xb_lambda", state, V, V, u, [2.0, 0.0])
         # J = 1 * ||(2,0)-(0,0)||^2 = 4, h = 16 -> 0.1 * 4 / 16
         assert val.value == pytest.approx(0.1 * 4.0 / 16.0)
 
     def test_constant_stream_decays_to_zero(self):
-        state = new_index_state("xb_lambda", 2, 2, lam=0.9)
+        state = IndexSet.start(("xb_lambda",), 2, 2, lam=0.9)
         V = PrototypeSet(np.array([[1.0, 1.0], [5.0, 5.0]]))
         u = MembershipVector([1.0, 0.0], kind="crisp")
-        state, first = xb_lambda_update(state, V, V, u, [2.0, 1.0])
+        state, first = update("xb_lambda", state, V, V, u, [2.0, 1.0])
         for _ in range(300):
-            state, val = xb_lambda_update(state, V, V, u, [1.0, 1.0])
+            state, val = update("xb_lambda", state, V, V, u, [1.0, 1.0])
         assert val.value < 1e-10 * max(first.value, 1.0)
 
     def test_matches_batch_at_every_step(self):
@@ -120,26 +119,26 @@ class TestXbLambdaUpdate:
 class TestDbUpdate:
     def test_symmetric_pair(self):
         # Two clusters, each with L = 1, centers 2 apart -> DB = 0.5
-        state = new_index_state("db", 2, 2)
+        state = IndexSet.start(("db",), 2, 2)
         V = PrototypeSet(np.array([[0.0, 0.0], [2.0, 0.0]]))
         # one unit-distance point per cluster: C_i = 1, M_i = 1 -> L_i = 1
-        state, _ = db_update(state, V, V, MembershipVector([1, 0], kind="crisp"), [0.0, 1.0])
-        state, val = db_update(state, V, V, MembershipVector([0, 1], kind="crisp"), [2.0, 1.0])
+        state, _ = update("db", state, V, V, MembershipVector([1, 0], kind="crisp"), [0.0, 1.0])
+        state, val = update("db", state, V, V, MembershipVector([0, 1], kind="crisp"), [2.0, 1.0])
         assert val.value == pytest.approx(0.5)
 
     def test_k1_undefined(self):
-        state = new_index_state("db", 1, 2)
+        state = IndexSet.start(("db",), 1, 2)
         V = PrototypeSet(np.zeros((1, 2)))
-        state, val = db_update(state, V, V, MembershipVector([1.0], kind="crisp"), [1.0, 0.0])
+        state, val = update("db", state, V, V, MembershipVector([1.0], kind="crisp"), [1.0, 0.0])
         assert not val.defined
         assert state.n == 1
 
     def test_empty_cluster_contributes_L_zero(self):
         # cluster 2 (far away, distance 10) never receives mass
-        state = new_index_state("db", 3, 2)
+        state = IndexSet.start(("db",), 3, 2)
         V = PrototypeSet(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 10.0]]))
-        state, _ = db_update(state, V, V, MembershipVector([1, 0, 0], kind="crisp"), [0.0, 1.0])
-        state, val = db_update(state, V, V, MembershipVector([0, 1, 0], kind="crisp"), [2.0, 1.0])
+        state, _ = update("db", state, V, V, MembershipVector([1, 0, 0], kind="crisp"), [0.0, 1.0])
+        state, val = update("db", state, V, V, MembershipVector([0, 1, 0], kind="crisp"), [2.0, 1.0])
         # Hand-expanded: L = (1, 1, 0); pairwise d2: 01->4, 02->100, 12->104
         # term i=0: max(2/4, 1/100) = 0.5; i=1: max(2/4, 1/104) = 0.5
         # i=2: max(1/100, 1/104) = 0.01
@@ -157,10 +156,10 @@ class TestDbUpdate:
 class TestDbLambdaUpdate:
     def test_denominator_clamp(self):
         # engineered states: check the clamp arithmetic through one update
-        state = new_index_state("db_lambda", 2, 1, lam=0.9)
+        state = IndexSet.start(("db_lambda",), 2, 1, lam=0.9)
         V = PrototypeSet(np.array([[0.0], [4.0]]))
         u = MembershipVector([0.6, 0.4], kind="fuzzy")
-        state, val = db_lambda_update(state, V, V, u, [2.0])
+        state, val = update("db_lambda", state, V, V, u, [2.0])
         C = np.array([0.36 * 4.0, 0.16 * 4.0])
         M = np.array([0.36, 0.16])
         L = C / np.maximum(1.0, M)  # clamp active for both
@@ -182,16 +181,22 @@ class TestBatchOracles:
         V = PrototypeSet(np.array([[0.0, 0.0], [100.0, 0.0]]))
         hist = [([-1.0, 0.0], [1.0, 0.0]), ([1.0, 0.0], [1.0, 0.0])]
         # numerator = u^2-weighted within-SSE = 2; h = 10000; n = 2
-        assert batch_xb_oracle(hist, V) == pytest.approx(2.0 / (2 * 10000.0))
+        assert batch_xb(*hist_arrays(hist), V.centers) == pytest.approx(2.0 / (2 * 10000.0))
 
     def test_symmetric_db_half(self):
         V = PrototypeSet(np.array([[0.0, 0.0], [2.0, 0.0]]))
         hist = [([0.0, 1.0], [1.0, 0.0]), ([2.0, 1.0], [0.0, 1.0])]
-        assert batch_db_oracle(hist, V) == pytest.approx(0.5)
+        assert batch_db(*hist_arrays(hist), V.centers) == pytest.approx(0.5)
 
     def test_db_requires_two_clusters(self):
         with pytest.raises(ValueError):
-            batch_db_oracle([([0.0], [1.0])], PrototypeSet(np.zeros((1, 1))))
+            batch_db(np.zeros((1, 1)), np.ones((1, 1)), np.zeros((1, 1)))
+
+    def test_empty_history_rejected(self):
+        V = np.array([[0.0], [1.0]])
+        for oracle in (batch_xb, batch_db):
+            with pytest.raises(ValueError):
+                oracle(np.zeros((0, 1)), np.zeros((0, 2)), V)
 
 
 class TestIndexProperties:
@@ -219,3 +224,51 @@ class TestIndexProperties:
         state, values = drive("xb", X, U, Vs)
         assert [v.n for v in values] == list(range(1, 51))
         assert state.n == 50
+
+
+class TestIndexSet:
+    def test_one_accumulator_set_per_forgetting_factor(self):
+        both = IndexSet.start(INDEX_FAMILIES, 3, 2, lam=0.9)
+        assert [a.lam for a in both.accumulators] == [1.0, 0.9]
+        assert both.float_count() == 2 + 2 * 3 * (2 + 2)
+        assert [a.lam for a in IndexSet.start(("xb", "db"), 3, 2).accumulators] == [1.0]
+        only = IndexSet.start(("db_lambda",), 3, 2, lam=0.5).accumulators
+        assert [a.lam for a in only] == [0.5]
+
+    def test_bad_families_and_lambda_rejected(self):
+        with pytest.raises(ValueError):
+            IndexSet.start(("xb", "silhouette"), 2, 2)
+        with pytest.raises(ValueError):
+            IndexSet.start(("xb_lambda",), 2, 2, lam=1.0)
+
+    def test_shared_state_matches_single_family_runs(self):
+        rng = np.random.default_rng(17)
+        X, U, Vs = random_stream(rng, 150, 4, 3)
+        state = IndexSet.start(INDEX_FAMILIES, 4, 3, lam=0.9)
+        shared = {fam: [] for fam in INDEX_FAMILIES}
+        for t in range(1, 151):
+            u = MembershipVector(np.clip(U[t - 1], 0.0, 1.0), kind="fuzzy")
+            state, values = state.step(PrototypeSet(Vs[t - 1]), PrototypeSet(Vs[t]), u, X[t - 1])
+            assert list(values) == list(INDEX_FAMILIES)
+            for fam, val in values.items():
+                shared[fam].append(val)
+        for fam in INDEX_FAMILIES:
+            _, alone = drive(fam, X, U, Vs, lam=0.9)
+            assert shared[fam] == alone
+
+    def test_birth_appends_empty_cluster(self):
+        state = IndexSet.start(("xb", "db_lambda"), 1, 2, lam=0.9, n0=3, M0=3.0)
+        V1 = PrototypeSet(np.array([[0.0, 0.0]]))
+        state, _ = update("xb", state, V1, V1, MembershipVector([1.0], kind="crisp"), [1.0, 0.0])
+        V2 = PrototypeSet(np.array([[0.0, 0.0], [5.0, 0.0]]))
+        u = MembershipVector([1.0, 0.0], kind="fuzzy")  # newborn padded with u = 0
+        state, values = state.step(V2, V2, u, np.array([0.0, 1.0]))
+        plain, forgetting = state.accumulators
+        assert plain.k == forgetting.k == 2 and state.n == 5
+        assert np.array_equal(plain.M, [3.0 + 1.0 + 1.0, 0.0])
+        assert np.array_equal(forgetting.M, [(0.9 * 3.0 + 1.0) * 0.9 + 1.0, 0.0])
+        assert np.array_equal(plain.C, [2.0, 0.0])
+        assert values["xb"].value == pytest.approx(2.0 / (5 * 25.0))
+        assert values["db_lambda"].defined
+        with pytest.raises(ValueError):  # clusters never disappear
+            state.step(V1, V1, MembershipVector([1.0], kind="crisp"), np.zeros(2))

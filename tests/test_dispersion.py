@@ -3,13 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcvi.dispersion import (
-    DispersionState,
-    batch_dispersion_oracle,
-    make_state,
-    update_dispersion,
-    update_dispersion_forgetting,
-)
+from streamcvi.dispersion import Accumulators, grow, new_accumulators, update_dispersion
+from streamcvi.engine import RunConfig, StreamEngine
+from streamcvi.verify import batch_accumulators, lambda_one_consistency
 
 
 def random_walk(rng, n, p, step=0.1):
@@ -19,94 +15,133 @@ def random_walk(rng, n, p, step=0.1):
     return xs, us, vs
 
 
+def step1(acc, v_old, v_new, u, x):
+    """One-cluster update from plain vectors and a scalar membership."""
+    row = lambda v: np.asarray(v, dtype=float).reshape(1, -1)  # noqa: E731
+    return update_dispersion(acc, row(v_old), row(v_new), np.array([float(u)]),
+                             np.asarray(x, dtype=float))
+
+
+def run_walk(xs, us, vs, lam):
+    acc = new_accumulators(1, xs.shape[1], lam=lam)
+    for t in range(xs.shape[0]):
+        acc = step1(acc, vs[t], vs[t + 1], us[t], xs[t])
+    return acc
+
+
+def batch_C(xs, us, v, lam):
+    C, _ = batch_accumulators(xs, us[:, None], np.asarray(v, dtype=float)[None], lam=lam)
+    return float(C[0])
+
+
 class TestUpdateDispersion:
     def test_first_sample(self):
-        s = update_dispersion(make_state(2), [0, 0], [0, 0], 1.0, [3, 4])
-        assert s.C == 25.0
-        assert np.array_equal(s.G, [3.0, 4.0])
-        assert s.M == 1.0
+        s = step1(new_accumulators(1, 2), [0, 0], [0, 0], 1.0, [3, 4])
+        assert s.C[0] == 25.0
+        assert np.array_equal(s.G[0], [3.0, 4.0])
+        assert s.M[0] == 1.0
 
     def test_zero_membership_stationary_center_is_noop(self):
-        s0 = DispersionState(C=7.0, G=np.array([1.0, -2.0]), M=3.0)
-        s1 = update_dispersion(s0, [1, 1], [1, 1], 0.0, [9, 9])
-        assert s1.C == s0.C
+        s0 = Accumulators(C=np.array([7.0]), G=np.array([[1.0, -2.0]]), M=np.array([3.0]))
+        s1 = step1(s0, [1, 1], [1, 1], 0.0, [9, 9])
+        assert np.array_equal(s1.C, s0.C)
         assert np.array_equal(s1.G, s0.G)
-        assert s1.M == s0.M
+        assert np.array_equal(s1.M, s0.M)
 
     def test_matches_batch_oracle_on_drifting_stream(self):
         rng = np.random.default_rng(0)
         xs, us, vs = random_walk(rng, 200, 3)
-        s = make_state(3)
-        for t in range(200):
-            s = update_dispersion(s, vs[t], vs[t + 1], us[t], xs[t])
-        expected = batch_dispersion_oracle(list(zip(xs, us)), vs[200], lam=1.0)
-        assert s.C == pytest.approx(expected, rel=1e-9)
+        s = run_walk(xs, us, vs, lam=1.0)
+        assert s.C[0] == pytest.approx(batch_C(xs, us, vs[200], 1.0), rel=1e-9)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            update_dispersion(make_state(2), [0, 0, 0], [0, 0], 1.0, [1, 1])
+            step1(new_accumulators(1, 2), [0, 0, 0], [0, 0], 1.0, [1, 1])
+        with pytest.raises(ValueError):
+            step1(new_accumulators(1, 2), [0, 0], [0, 0], 1.0, [1, 1, 1])
+        with pytest.raises(ValueError):  # one membership for two clusters
+            update_dispersion(new_accumulators(2, 2), np.zeros((2, 2)), np.zeros((2, 2)),
+                              np.array([1.0]), np.ones(2))
 
     def test_non_finite_input(self):
+        # A point is validated once, where it enters the engine.
+        engine = StreamEngine(RunConfig(k=1))
+        engine.push([0.0, 0.0])
         with pytest.raises(ValueError):
-            update_dispersion(make_state(2), [0, 0], [0, 0], 1.0, [np.nan, 0])
-
-    def test_forgetting_state_rejected(self):
+            engine.push([np.nan, 0.0])
         with pytest.raises(ValueError):
-            update_dispersion(make_state(2, lam=0.9), [0, 0], [0, 0], 1.0, [1, 1])
+            step1(new_accumulators(1, 2), [0, 0], [0, 0], np.nan, [1, 1])
+        with pytest.raises(ValueError):
+            step1(new_accumulators(1, 2), [0, 0], [0, 0], 1.5, [1, 1])
 
 
 class TestUpdateDispersionForgetting:
     def test_first_sample_unaffected_by_decay(self):
-        s = update_dispersion_forgetting(make_state(2, lam=0.9), [0, 0], [0, 0], 1.0, [3, 4])
-        assert s.C == 25.0
-        assert s.M == 1.0
+        s = step1(new_accumulators(1, 2, lam=0.9), [0, 0], [0, 0], 1.0, [3, 4])
+        assert s.C[0] == 25.0
+        assert s.M[0] == 1.0
 
     def test_geometric_accumulation(self):
-        s = make_state(2, lam=0.9)
+        s = new_accumulators(1, 2, lam=0.9)
         for _ in range(2):
-            s = update_dispersion_forgetting(s, [0, 0], [0, 0], 1.0, [3, 4])
-        assert s.C == pytest.approx(0.9 * 25.0 + 25.0)
-        assert s.M == pytest.approx(1.9)
+            s = step1(s, [0, 0], [0, 0], 1.0, [3, 4])
+        assert s.C[0] == pytest.approx(0.9 * 25.0 + 25.0)
+        assert s.M[0] == pytest.approx(1.9)
 
     def test_matches_batch_oracle_on_drifting_stream(self):
         rng = np.random.default_rng(1)
         xs, us, vs = random_walk(rng, 200, 2)
-        s = make_state(2, lam=0.9)
-        for t in range(200):
-            s = update_dispersion_forgetting(s, vs[t], vs[t + 1], us[t], xs[t])
-        expected = batch_dispersion_oracle(list(zip(xs, us)), vs[200], lam=0.9)
-        assert s.C == pytest.approx(expected, rel=1e-9)
+        s = run_walk(xs, us, vs, lam=0.9)
+        assert s.C[0] == pytest.approx(batch_C(xs, us, vs[200], 0.9), rel=1e-9)
 
     def test_lambda_one_reduction_is_exact(self):
+        # One update path serves every cluster: a k-row update equals k
+        # one-row updates bit for bit, with and without forgetting.
+        assert lambda_one_consistency(2, n=120, k=4, p=3) == 0.0
         rng = np.random.default_rng(2)
-        xs, us, vs = random_walk(rng, 120, 2)
-        plain = make_state(2)
-        ff = make_state(2, lam=1.0)
-        for t in range(120):
-            plain = update_dispersion(plain, vs[t], vs[t + 1], us[t], xs[t])
-            ff = update_dispersion_forgetting(ff, vs[t], vs[t + 1], us[t], xs[t])
-        assert ff.C == plain.C
-        assert np.array_equal(ff.G, plain.G)
-        assert ff.M == plain.M
+        k, p = 3, 2
+        X = rng.normal(size=(60, p))
+        U = rng.dirichlet(np.ones(k), size=60)
+        Vs = np.cumsum(rng.normal(0.0, 0.1, size=(61, k, p)), axis=0)
+        whole = new_accumulators(k, p, lam=0.9)
+        rows = [new_accumulators(1, p, lam=0.9) for _ in range(k)]
+        for t in range(60):
+            whole = update_dispersion(whole, Vs[t], Vs[t + 1], U[t], X[t])
+            rows = [update_dispersion(r, Vs[t][i:i + 1], Vs[t + 1][i:i + 1], U[t][i:i + 1], X[t])
+                    for i, r in enumerate(rows)]
+        assert np.array_equal(whole.C, [r.C[0] for r in rows])
+        assert np.array_equal(whole.G, [r.G[0] for r in rows])
+        assert np.array_equal(whole.M, [r.M[0] for r in rows])
 
     def test_bad_lambda_rejected(self):
         with pytest.raises(ValueError):
-            make_state(2, lam=0.0)
+            new_accumulators(1, 2, lam=0.0)
         with pytest.raises(ValueError):
-            make_state(2, lam=1.5)
+            new_accumulators(1, 2, lam=1.5)
+
+
+class TestGrow:
+    def test_newborn_rows_start_empty(self):
+        acc = step1(new_accumulators(1, 2, lam=0.9, M0=5.0), [0, 0], [0, 0], 1.0, [3, 4])
+        grown = grow(acc, 3)
+        assert np.array_equal(grown.C, [25.0, 0.0, 0.0])
+        assert np.array_equal(grown.G, [[3.0, 4.0], [0.0, 0.0], [0.0, 0.0]])
+        assert np.array_equal(grown.M, [0.9 * 5.0 + 1.0, 0.0, 0.0])
+        assert grown.lam == 0.9
+        assert grow(grown, 3) is grown
 
 
 class TestBatchOracle:
     def test_single_point(self):
-        assert batch_dispersion_oracle([((3, 4), 1.0)], (0, 0)) == 25.0
+        assert batch_C(np.array([[3.0, 4.0]]), np.array([1.0]), (0, 0), 1.0) == 25.0
 
     def test_all_zero_memberships(self):
-        hist = [((1.0, 2.0), 0.0), ((5.0, 5.0), 0.0)]
-        assert batch_dispersion_oracle(hist, (0, 0)) == 0.0
+        xs = np.array([[1.0, 2.0], [5.0, 5.0]])
+        assert batch_C(xs, np.zeros(2), (0, 0), 1.0) == 0.0
 
     def test_empty_history_rejected(self):
         with pytest.raises(ValueError):
-            batch_dispersion_oracle([], (0, 0))
+            batch_C(np.zeros((0, 2)), np.zeros(0), (0, 0), 1.0)
 
 
 class TestProperties:
@@ -117,12 +152,8 @@ class TestProperties:
         n = int(rng.integers(5, 80))
         p = int(rng.integers(1, 5))
         xs, us, vs = random_walk(rng, n, p)
-        s = make_state(p, lam=lam)
-        step = update_dispersion if lam == 1.0 else update_dispersion_forgetting
-        for t in range(n):
-            s = step(s, vs[t], vs[t + 1], us[t], xs[t])
-        expected = batch_dispersion_oracle(list(zip(xs, us)), vs[n], lam=lam)
-        assert s.C == pytest.approx(expected, rel=1e-9, abs=1e-12)
+        s = run_walk(xs, us, vs, lam=lam)
+        assert s.C[0] == pytest.approx(batch_C(xs, us, vs[n], lam), rel=1e-9, abs=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000), st.sampled_from([1.0, 0.8]))
@@ -132,21 +163,20 @@ class TestProperties:
         xs = rng.normal(size=(n, p))
         us = rng.uniform(size=n)
         v = rng.normal(size=p)
-        s = make_state(p, lam=lam)
-        step = update_dispersion if lam == 1.0 else update_dispersion_forgetting
+        s = new_accumulators(1, p, lam=lam)
         for t in range(n):
-            s = step(s, v, v, us[t], xs[t])
+            s = step1(s, v, v, us[t], xs[t])
         expected = sum(
             lam ** (n - j) * us[j - 1] ** 2 * float(np.sum((xs[j - 1] - v) ** 2))
             for j in range(1, n + 1)
         )
-        assert s.C == pytest.approx(expected, rel=1e-12)
+        assert s.C[0] == pytest.approx(expected, rel=1e-12)
 
     def test_C_never_negative(self):
         rng = np.random.default_rng(3)
-        s = make_state(2)
+        s = new_accumulators(1, 2)
         for t in range(500):
             v_old = rng.normal(size=2) * 10
             v_new = rng.normal(size=2) * 10
-            s = update_dispersion(s, v_old, v_new, float(rng.uniform()), rng.normal(size=2))
-            assert s.C >= 0.0
+            s = step1(s, v_old, v_new, float(rng.uniform()), rng.normal(size=2))
+            assert s.C[0] >= 0.0

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from streamcvi.cvi import INDEX_FAMILIES
+from streamcvi.datagen import gen_s3
 from streamcvi.engine import RunConfig, StreamEngine, init_icvi_state, run
-from streamcvi.verify import batch_accumulators, batch_xb
+from streamcvi.oec import oec_init, oec_step
+from streamcvi.skmeans import skmeans_init, skmeans_step
 
 
 def gaussian_pair(seed, n=400):
@@ -14,6 +17,89 @@ def gaussian_pair(seed, n=400):
     X[0::2] = a
     X[1::2] = b
     return X
+
+
+def replay(X, config):
+    """Re-drive the clusterer offline, as the engine does.
+
+    Returns (n0, V0, U, Vs): the warm-up count, the centers after warm-up,
+    the memberships of every evaluated point zero-padded to the final k (a
+    cluster has u = 0 before and at its birth), and the centers after each
+    evaluated point.
+    """
+    p = X.shape[1]
+    if config.algorithm == "skmeans":
+        n0 = config.k
+        state = skmeans_init(list(X[:n0]))
+        V0 = state.V.copy()
+    else:
+        n0 = p + 1
+        state = oec_init(list(X[:n0]), config.oec)
+        V0 = state.centers().centers
+    us, Vs = [], []
+    for x in X[n0:]:
+        if config.algorithm == "skmeans":
+            state, u, _, V_new = skmeans_step(state, x)
+        else:
+            state, u, _, V_new, _ = oec_step(state, x, config.oec)
+        us.append(u.u)
+        Vs.append(V_new.centers)
+    U = np.zeros((len(us), Vs[-1].shape[0]))
+    for t, u in enumerate(us):
+        U[t, :u.shape[0]] = u
+    return n0, V0, U, Vs
+
+
+def direct_value(fam, X, replayed, t, config):
+    """Index ``fam`` after evaluated point t (1-based) by direct summation
+    over the whole history, or None when undefined.
+
+    "paper" warm-up seeding gives each initial cluster the warm-up count as
+    membership mass at its starting center: a phantom point of mass
+    n0 * lam**t there.
+    """
+    n0, V0, U, Vs = replayed
+    V = Vs[t - 1]
+    k = V.shape[0]
+    lam = config.lam if fam.endswith("_lambda") else 1.0
+    w = lam ** np.arange(t - 1, -1, -1, dtype=float)[:, None]
+    U2 = U[:t, :k] ** 2
+    d2 = np.sum((X[n0:n0 + t, None, :] - V[None, :, :]) ** 2, axis=2)
+    C = np.sum(w * U2 * d2, axis=0)
+    M = np.sum(w * U2, axis=0)
+    if config.icvi_init == "paper":
+        k0 = V0.shape[0]
+        C[:k0] += n0 * lam ** t * np.sum((V0 - V[:k0]) ** 2, axis=1)
+        M[:k0] += n0 * lam ** t
+    gaps = np.sum((V[:, None, :] - V[None, :, :]) ** 2, axis=2) + np.diag(np.full(k, np.inf))
+    if fam.startswith("xb"):
+        if k >= 2:
+            h = float(np.min(gaps))
+        else:  # k has been 1 throughout: running max of ||v_1 - x||^2
+            h = max(float(np.sum((Vs[s][0] - X[n0 + s]) ** 2)) for s in range(t))
+        if h <= 0.0:
+            return None
+        J = float(np.sum(C))
+        return J / ((n0 + t) * h) if lam == 1.0 else (1.0 - lam) * J / h
+    if k < 2 or np.min(gaps) <= 0.0:
+        return None
+    L = np.where(M > 0.0, C / np.where(M > 0.0, M, 1.0), 0.0) if lam == 1.0 \
+        else C / np.maximum(1.0, M)
+    return float(np.mean(np.max((L[:, None] + L[None, :]) / gaps, axis=1)))
+
+
+def assert_matches_direct(trace, X, config, steps):
+    replayed = replay(X, config)
+    n0 = replayed[0]
+    for t in steps:
+        row = trace[t - 1]
+        assert row.n == n0 + t and row.k == replayed[3][t - 1].shape[0]
+        for fam in config.indices:
+            expected = direct_value(fam, X, replayed, t, config)
+            if expected is None:
+                assert row.values[fam] is None, (fam, t)
+            else:
+                assert row.values[fam] == pytest.approx(expected, rel=1e-8), (fam, t)
 
 
 class TestRunConfig:
@@ -44,16 +130,17 @@ class TestRunConfig:
 
 class TestInitModes:
     def test_paper_mode_seeds_mass_with_warmup_count(self):
-        states = init_icvi_state("paper", 7, 2, 3)
-        for state in states.values():
-            assert state.n == 7
-            assert all(ds.M == 7.0 for ds in state.per_cluster)
+        state = init_icvi_state("paper", 7, 2, 3)
+        assert state.n == 7
+        assert len(state.accumulators) == 2  # lam = 1 and lam = 0.9
+        for acc in state.accumulators:
+            assert np.array_equal(acc.M, [7.0, 7.0])
 
     def test_zeros_mode_starts_empty(self):
-        states = init_icvi_state("zeros", 7, 2, 3)
-        for state in states.values():
-            assert state.n == 7
-            assert all(ds.M == 0.0 for ds in state.per_cluster)
+        state = init_icvi_state("zeros", 7, 2, 3)
+        assert state.n == 7
+        for acc in state.accumulators:
+            assert np.array_equal(acc.M, [0.0, 0.0])
 
     def test_modes_converge_on_stationary_stream(self):
         # the warm-up offset washes out: after 500 evaluated points the two
@@ -92,27 +179,29 @@ class TestWarmup:
 
 class TestTraceSemantics:
     def test_single_pass_matches_batch_oracle(self):
-        # feed a stream through the full engine, replay the memberships and
-        # prototype trajectory offline, and compare the xb column
-        config = RunConfig(algorithm="skmeans", k=2, indices=("xb",),
-                           icvi_init="zeros", emit_labels=True)
+        # feed a stream through the full engine, replay the clusterer offline,
+        # and recompute every family by direct summation, in both init modes
         X = gaussian_pair(3, n=120)
-        trace, _ = run(X, config)
-        # replay: reconstruct crisp memberships from the emitted labels
-        from streamcvi.skmeans import skmeans_init, skmeans_step
+        for mode in ("zeros", "paper"):
+            config = RunConfig(algorithm="skmeans", k=2, indices=INDEX_FAMILIES,
+                               lam=0.9, icvi_init=mode)
+            trace, _ = run(X, config)
+            assert_matches_direct(trace, X, config, (1, 2, 30, 117, 118))
 
-        state = skmeans_init(X[:2])
-        U, Vs = [], [state.V.copy()]
-        for x in X[2:]:
-            state, u, _, _ = skmeans_step(state, x)
-            U.append(u.u)
-            Vs.append(state.V.copy())
-        U = np.array(U)
-        for t in (1, 30, 118):
-            # the engine's sample counter includes the k warm-up points, the
-            # offline replay sees only the evaluated ones: rescale accordingly
-            expected = batch_xb(X[2:2 + t], U[:t], Vs[t]) * t / (t + 2)
-            assert trace[t - 1].values["xb"] == pytest.approx(expected, rel=1e-8)
+    def test_oec_births_match_batch_oracle(self):
+        # every cluster birth on s3 and the step after it, where the index
+        # state grows and the newborn starts from empty accumulators
+        stream = gen_s3(0)
+        X = stream.X()
+        config = RunConfig(algorithm="oec", indices=INDEX_FAMILIES, lam=0.9)
+        trace, events = run(X, config)
+        n0 = X.shape[1] + 1
+        births = [e.n - n0 for e in events if e.kind == "cluster_created"]
+        assert len(births) >= 3
+        ks = [r.k for r in trace]
+        assert births == [t for t in range(2, len(ks) + 1) if ks[t - 1] > ks[t - 2]]
+        steps = sorted({s for t in births for s in (t, t + 1)} | {1, births[0] - 1})
+        assert_matches_direct(trace, X, config, steps)
 
     def test_n_column_is_global_sample_index(self):
         trace, _ = run(gaussian_pair(4, n=50), RunConfig(k=2))
@@ -180,3 +269,12 @@ class TestMemoryFootprint:
                 engine.push(x)
             sizes.append(engine.state_float_count())
         assert sizes[0] == sizes[1] == sizes[2]
+
+    def test_index_state_counted_once_per_forgetting_factor(self):
+        # four families, two forgetting factors: 2 * k*(p+2) index floats + h, n
+        k, p = 3, 2
+        engine = StreamEngine(RunConfig(algorithm="skmeans", k=k))
+        for x in gaussian_pair(7, n=20):
+            engine.push(x)
+        clusterer = k * p + k  # prototypes + counts
+        assert engine.state_float_count() == clusterer + 2 * k * (p + 2) + 2

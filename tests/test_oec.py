@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from streamcvi.core import validate_membership
 from streamcvi.oec import (
     EllipsoidalPrototype,
     OecConfig,
@@ -12,6 +11,8 @@ from streamcvi.oec import (
     oec_membership,
     oec_step,
 )
+
+from helpers import validate_membership
 
 
 def make_proto(m, S_inv, count=30, n_s=20):
@@ -187,8 +188,9 @@ class TestOecStep:
 
 class TestOecConfig:
     def test_boundary_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            OecConfig(gamma_eff=0.999, gamma_out=0.99)
+        for gamma_out in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError):
+                OecConfig(gamma_out=gamma_out)
 
     def test_lambda_range(self):
         with pytest.raises(ValueError):
@@ -196,7 +198,6 @@ class TestOecConfig:
 
     def test_paper_defaults(self):
         cfg = OecConfig()
-        assert cfg.gamma_eff == 0.99
         assert cfg.gamma_out == 0.999
         assert cfg.n_s == 20
         assert cfg.lambda_oec == 0.9

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcvi.core import validate_membership
 from streamcvi.skmeans import skmeans_init, skmeans_step
+
+from helpers import validate_membership
 
 
 class TestInit:
