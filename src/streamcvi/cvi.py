@@ -12,8 +12,9 @@ Every variant is a read-out of per-cluster accumulators (C, G, M): xb and db
 read the lam=1 sums, xb_lambda and db_lambda the lam sums. An IndexSet keeps
 one accumulator set per forgetting factor its families need, so at most two.
 
-Both indices are min-optimal. Undefined steps (coincident centers, or a
-single cluster for DB) are flagged, never raised: the state still advances.
+Both indices are min-optimal. Undefined steps (coincident centers, a single
+cluster for DB, or a non-finite read-out) are flagged, never raised: the
+state still advances.
 """
 
 from __future__ import annotations
@@ -144,5 +145,7 @@ class IndexSet:
         values = {}
         for fam in self.families:
             acc = forgetting if fam.endswith("_lambda") else plain
-            values[fam] = _xb_value(acc, h, n) if fam.startswith("xb") else _db_value(acc, gaps, n)
+            val = _xb_value(acc, h, n) if fam.startswith("xb") else _db_value(acc, gaps, n)
+            # Overflow in the accumulators reads out as inf or nan: undefined.
+            values[fam] = val if math.isfinite(val.value) else _undefined(n, k)
         return IndexSet(self.families, plain, forgetting, h, n), values

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PrototypeSet, as_vector
+from .core import as_vector
 from .cvi import INDEX_FAMILIES, IndexSet
 from .oec import OecConfig, oec_init, oec_step
 from .skmeans import skmeans_init, skmeans_step
@@ -128,24 +128,11 @@ class StreamEngine:
         self.trace.append(record)
         return record
 
-    def centers(self) -> PrototypeSet:
-        if self.config.algorithm == "skmeans":
-            return PrototypeSet(self._cluster_state.V.copy())
-        return self._cluster_state.centers()
-
     def state_float_count(self) -> int:
         """Number of scalar slots held by clustering + index state (not output)."""
-        total = 0
-        cs = self._cluster_state
-        if cs is None:
+        if self._cluster_state is None:
             return sum(b.size for b in self._buffer)
-        if self.config.algorithm == "skmeans":
-            total += cs.V.size + cs.counts.size
-        else:
-            for pr in cs.protos:
-                total += pr.m.size + pr.cov.size + pr.S_inv.size + 2
-            total += cs.forget.m.size + cs.forget.S.size + 1
-        return total + self._indices.float_count()
+        return self._cluster_state.float_count() + self._indices.float_count()
 
 
 def run(points, config: RunConfig, change_events=()) -> tuple[list, list]:
@@ -167,5 +154,4 @@ def run(points, config: RunConfig, change_events=()) -> tuple[list, list]:
     if engine._cluster_state is None:
         need = "k" if config.algorithm == "skmeans" else "p+1"
         raise ValueError(f"stream ended during warm-up (need more than {need} points)")
-    engine.events.sort(key=lambda e: e.n)
     return engine.trace, engine.events

@@ -14,16 +14,12 @@ and center snapshots out) isolates it so a richer clusterer can be swapped in.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
 from .core import MembershipVector, PrototypeSet, as_vector
-
-log = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class OecConfig:
@@ -50,33 +46,17 @@ def chi2_inverse(p_dof: int, gamma: float) -> float:
     return float(stats.chi2.ppf(gamma, df=p_dof))
 
 
-@dataclass(frozen=True)
-class EllipsoidalPrototype:
-    m: np.ndarray       # mean
-    cov: np.ndarray     # maintained covariance estimate
-    S_inv: np.ndarray   # inverse covariance used for distances
-    count: int          # samples absorbed
-    W: float            # accumulated membership mass
-    n_s: int
-
-    @property
-    def p(self) -> int:
-        return self.m.shape[0]
-
-    @property
-    def stabilized(self) -> bool:
-        return self.count >= self.n_s
-
-
-def mahalanobis_sq(x, proto: EllipsoidalPrototype) -> float:
-    d = as_vector(x, proto.p) - proto.m
-    val = float(d @ proto.S_inv @ d)
-    if val < 0.0:
+def mahalanobis_sq(x: np.ndarray, m: np.ndarray, S_inv: np.ndarray) -> np.ndarray:
+    """(k,) squared Mahalanobis distances of a (p,) point to k prototypes with
+    (k, p) means and (k, p, p) inverse covariances."""
+    D = x - m
+    F = np.einsum("ij,ijk,ik->i", D, S_inv, D)
+    if (F < 0.0).any():
         raise RuntimeError(
-            f"negative Mahalanobis distance ({val:.3e}): inverse covariance lost "
+            f"negative Mahalanobis distance ({F.min():.3e}): inverse covariance lost "
             "positive-definiteness"
         )
-    return val
+    return F
 
 
 def _membership_from_distances(F: np.ndarray) -> MembershipVector:
@@ -92,13 +72,12 @@ def _membership_from_distances(F: np.ndarray) -> MembershipVector:
     return MembershipVector(u, kind="fuzzy")
 
 
-def oec_membership(x, protos) -> MembershipVector:
+def oec_membership(x, m: np.ndarray, S_inv: np.ndarray) -> MembershipVector:
     """Fuzzy k-means memberships over squared Mahalanobis distances (fuzzifier m=2).
 
     A zero distance yields a one-hot vector at the lowest zero-distance index.
     """
-    F = np.array([mahalanobis_sq(x, pr) for pr in protos])
-    return _membership_from_distances(F)
+    return _membership_from_distances(mahalanobis_sq(as_vector(x, m.shape[1]), m, S_inv))
 
 
 def _regularize(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -144,29 +123,35 @@ class _ForgetfulStats:
 
 @dataclass(frozen=True)
 class OecState:
-    protos: tuple[EllipsoidalPrototype, ...]
+    """Every cluster is one row of the arrays below.
+
+    Treated as an immutable value: a step copies the arrays it writes, so
+    states and the center snapshots taken from them may share the others.
+    """
+
+    m: np.ndarray        # (k, p) means
+    cov: np.ndarray      # (k, p, p) maintained covariance estimates
+    S_inv: np.ndarray    # (k, p, p) inverse covariances used for distances
+    count: np.ndarray    # (k,) points won, init included
+    W: np.ndarray        # (k,) accumulated membership mass
     forget: _ForgetfulStats
     outside_streak: int = 0
     chi2_out: float = 0.0
 
     @property
     def k(self) -> int:
-        return len(self.protos)
+        return self.m.shape[0]
 
     @property
     def p(self) -> int:
-        return self.protos[0].p
+        return self.m.shape[1]
 
     def centers(self) -> PrototypeSet:
-        return PrototypeSet(np.stack([pr.m for pr in self.protos]))
+        return PrototypeSet(self.m)
 
-
-def _prototype_from_stats(m, cov, count, n_s) -> tuple[EllipsoidalPrototype, bool]:
-    cov, S_inv, reg = _regularize(cov)
-    proto = EllipsoidalPrototype(
-        m=m, cov=cov, S_inv=S_inv, count=count, W=float(count), n_s=n_s
-    )
-    return proto, reg
+    def float_count(self) -> int:
+        rows = self.m.size + self.cov.size + self.S_inv.size + self.count.size + self.W.size
+        return rows + self.forget.m.size + self.forget.S.size + 1
 
 
 def oec_init(first_points, config: OecConfig) -> OecState:
@@ -176,32 +161,14 @@ def oec_init(first_points, config: OecConfig) -> OecState:
     if X.shape[0] != p + 1:
         raise ValueError(f"initialization needs exactly p+1 = {p + 1} points")
     m = X.mean(axis=0)
-    cov = np.cov(X, rowvar=False, bias=False)
-    cov = np.atleast_2d(cov)
-    proto, _ = _prototype_from_stats(m, cov, count=p + 1, n_s=config.n_s)
-    forget = _ForgetfulStats(m=m.copy(), S=cov * (p + 1), W=float(p + 1))
+    cov = np.atleast_2d(np.cov(X, rowvar=False, bias=False))
+    cov_reg, S_inv, _ = _regularize(cov)
     return OecState(
-        protos=(proto,),
-        forget=forget,
+        m=m[None, :], cov=cov_reg[None], S_inv=S_inv[None],
+        count=np.array([p + 1]), W=np.array([float(p + 1)]),
+        forget=_ForgetfulStats(m=m.copy(), S=cov * (p + 1), W=float(p + 1)),
         chi2_out=chi2_inverse(p, config.gamma_out),
     )
-
-
-def _update_prototype(proto: EllipsoidalPrototype, x: np.ndarray, u: float):
-    """Membership-weighted recursive mean/covariance update."""
-    if u <= 0.0:
-        return proto, False
-    W_new = proto.W + u
-    d = x - proto.m
-    m_new = proto.m + (u / W_new) * d
-    S = proto.cov * proto.W  # scatter sum, implied by the stored covariance
-    S_new = S + u * (proto.W / W_new) * np.outer(d, d)
-    cov_new = S_new / W_new
-    cov_new, S_inv, reg = _regularize(cov_new)
-    new = EllipsoidalPrototype(
-        m=m_new, cov=cov_new, S_inv=S_inv, count=proto.count, W=W_new, n_s=proto.n_s
-    )
-    return new, reg
 
 
 def oec_step(state: OecState, x_new, config: OecConfig):
@@ -214,67 +181,69 @@ def oec_step(state: OecState, x_new, config: OecConfig):
     x = as_vector(x_new, state.p)
     events: list[tuple[str, str]] = []
 
-    F = np.array([mahalanobis_sq(x, pr) for pr in state.protos])
+    F = mahalanobis_sq(x, state.m, state.S_inv)
     u = _membership_from_distances(F)
     u_rep = u
+    winner = int(np.argmax(u.u))
     if config.harden:
         hard = np.zeros(u.k)
-        hard[int(np.argmax(u.u))] = 1.0
+        hard[winner] = 1.0
         u_rep = MembershipVector(hard, kind="crisp")
 
-    V_old = state.centers()
+    # The outlier boundary shields a stabilized prototype from points far
+    # outside it; such points only feed the forgetful prototype.
+    shielded = (state.count >= config.n_s) & (F > state.chi2_out)
+    count = state.count
+    if not shielded[winner]:
+        count = count.copy()
+        count[winner] += 1
 
-    protos = []
-    winner = int(np.argmax(u.u))
-    for i, proto in enumerate(state.protos):
-        # The outlier boundary shields a stabilized prototype from points far
-        # outside it; such points only feed the forgetful prototype.
-        if proto.stabilized and F[i] > state.chi2_out:
-            protos.append(proto)
-            continue
-        updated, reg = _update_prototype(proto, x, float(u.u[i]))
-        if i == winner:
-            updated = replace(updated, count=updated.count + 1)
+    m, cov, S_inv, W = state.m, state.cov, state.S_inv, state.W
+    rows = np.flatnonzero(~shielded & (u.u > 0.0))
+    if rows.size:
+        m, cov, S_inv, W = m.copy(), cov.copy(), S_inv.copy(), W.copy()
+    for i in rows:
+        # Membership-weighted recursive mean/covariance update; the scatter
+        # sum is implied by the stored covariance.
+        ui = u.u[i]
+        W_new = W[i] + ui
+        d = x - m[i]
+        m[i] = m[i] + (ui / W_new) * d
+        S_new = cov[i] * W[i] + ui * (W[i] / W_new) * np.outer(d, d)
+        cov[i], S_inv[i], reg = _regularize(S_new / W_new)
+        W[i] = W_new
         if reg:
             events.append(("covariance_regularized", f"cluster {i}"))
-        protos.append(updated)
 
     forget = state.forget.updated(x, config.lambda_oec)
 
     # New-cluster test: suppressed while any cluster is still stabilizing.
-    streak = state.outside_streak
+    streak = 0
     created = False
-    if all(pr.stabilized for pr in protos):
-        outside_all = all(
-            mahalanobis_sq(forget.m, pr) > state.chi2_out for pr in protos
-        )
-        streak = streak + 1 if outside_all else 0
+    if (count >= config.n_s).all():
+        outside_all = (mahalanobis_sq(forget.m, m, S_inv) > state.chi2_out).all()
+        streak = state.outside_streak + 1 if outside_all else 0
         if streak >= config.n_s:
-            newborn, reg = _prototype_from_stats(
-                forget.m.copy(), forget.covariance(), count=state.p + 1,
-                n_s=config.n_s,
-            )
-            protos.append(newborn)
+            cov_b, S_inv_b, reg = _regularize(forget.covariance())
+            m = np.vstack([m, forget.m])
+            cov = np.concatenate([cov, cov_b[None]])
+            S_inv = np.concatenate([S_inv, S_inv_b[None]])
+            count = np.append(count, state.p + 1)
+            W = np.append(W, float(state.p + 1))
             if reg:
-                events.append(("covariance_regularized", f"cluster {len(protos) - 1}"))
-            events.append(("cluster_created", f"k={len(protos)}"))
+                events.append(("covariance_regularized", f"cluster {len(m) - 1}"))
+            events.append(("cluster_created", f"k={len(m)}"))
             created = True
             streak = 0
-            forget = _ForgetfulStats(
-                m=x.copy(), S=np.zeros((state.p, state.p)), W=1.0
-            )
-    else:
-        streak = 0
+            forget = _ForgetfulStats(m=x.copy(), S=np.zeros((state.p, state.p)), W=1.0)
 
     new_state = OecState(
-        protos=tuple(protos),
-        forget=forget,
-        outside_streak=streak,
-        chi2_out=state.chi2_out,
+        m=m, cov=cov, S_inv=S_inv, count=count, W=W,
+        forget=forget, outside_streak=streak, chi2_out=state.chi2_out,
     )
-    V_new = new_state.centers()
+    V_old = state.centers()
     if created:
         # Newborn's "old" center equals its new center; membership padded with 0.
-        V_old = PrototypeSet(np.vstack([V_old.centers, V_new.centers[-1:]]))
+        V_old = PrototypeSet(np.vstack([V_old.centers, m[-1:]]))
         u_rep = MembershipVector(np.append(u_rep.u, 0.0), kind=u_rep.kind)
-    return new_state, u_rep, V_old, V_new, events
+    return new_state, u_rep, V_old, new_state.centers(), events

@@ -22,6 +22,9 @@ class SkMeansState:
     def p(self) -> int:
         return self.V.shape[1]
 
+    def float_count(self) -> int:
+        return self.V.size + self.counts.size
+
 
 def skmeans_init(first_k_points) -> SkMeansState:
     """Seed the k prototypes with the first k stream points."""
@@ -40,12 +43,12 @@ def skmeans_step(state: SkMeansState, x_new):
     """Assign x to the nearest prototype (ties: lowest index) and update it.
 
     Returns (state', u_crisp, V_old, V_new); the center snapshots feed the
-    incremental index update.
+    incremental index update. States are immutable values, so the snapshots
+    share their arrays with the old and new state.
     """
     x = as_vector(x_new, state.p)
     d2 = np.sum((state.V - x) ** 2, axis=1)
     m = int(np.argmin(d2))  # argmin takes the first minimum: lowest index wins
-    V_old = PrototypeSet(state.V.copy())
     counts = state.counts.copy()
     counts[m] += 1
     V = state.V.copy()
@@ -53,4 +56,4 @@ def skmeans_step(state: SkMeansState, x_new):
     u = np.zeros(state.k)
     u[m] = 1.0
     new_state = SkMeansState(V=V, counts=counts)
-    return new_state, MembershipVector(u, kind="crisp"), V_old, PrototypeSet(V.copy())
+    return new_state, MembershipVector(u, kind="crisp"), PrototypeSet(state.V), PrototypeSet(V)

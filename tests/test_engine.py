@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -214,6 +217,18 @@ class TestTraceSemantics:
         trace, _ = run(X, RunConfig(emit_labels=False))
         assert all(r.label is None for r in trace)
 
+    def test_non_finite_values_are_flagged_undefined(self):
+        # squared distances of 1e200-scaled points overflow; every read-out
+        # that comes out inf or nan must be None and logged as an event
+        X = gen_s3(0).X() * 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace, events = run(X, RunConfig(algorithm="skmeans", k=2))
+        values = [v for r in trace for v in r.values.values()]
+        assert all(v is None or math.isfinite(v) for v in values)
+        undefined = sum(v is None for v in values)
+        assert undefined > 0
+        assert undefined == sum(e.kind == "index_undefined" for e in events)
+
     def test_deterministic_rerun(self):
         X = gaussian_pair(6, n=300)
         config = RunConfig(algorithm="oec")
@@ -258,6 +273,53 @@ class TestDynamicK:
         assert [e.n for e in events] == sorted(e.n for e in events)
 
 
+def snapshot(value):
+    """Deep copy of every array reachable from a clusterer step's outputs."""
+    if isinstance(value, np.ndarray):
+        return value.copy()
+    if dataclasses.is_dataclass(value):
+        return {f.name: snapshot(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [snapshot(v) for v in value]
+    return value
+
+
+def assert_same(a, b):
+    if isinstance(a, np.ndarray):
+        assert np.array_equal(a, b, equal_nan=True)
+    elif isinstance(a, dict):
+        for key in a:
+            assert_same(a[key], b[key])
+    elif isinstance(a, list):
+        for x, y in zip(a, b, strict=True):
+            assert_same(x, y)
+    else:
+        assert a == b
+
+
+class TestImmutableStates:
+    @pytest.mark.parametrize("algorithm", ["skmeans", "oec"])
+    def test_step_leaves_earlier_outputs_unchanged(self, algorithm):
+        # states and center snapshots may share arrays, so no step may write
+        # into an array an earlier step returned; s3 has OEC births
+        X = gen_s3(0).X()[:600]
+        if algorithm == "skmeans":
+            state = skmeans_init(list(X[:3]))
+            step = skmeans_step
+        else:
+            state = oec_init(list(X[:3]), RunConfig().oec)
+            step = lambda s, x: oec_step(s, x, RunConfig().oec)[:4]
+        prev, frozen = None, None
+        for x in X[3:]:
+            out = step(state, x)
+            if prev is not None:
+                assert_same(frozen, snapshot(prev))
+            prev, frozen = out, snapshot(out)
+            state = out[0]
+        if algorithm == "oec":
+            assert state.k >= 2
+
+
 class TestMemoryFootprint:
     def test_state_float_count_constant_in_stream_length(self):
         config = RunConfig(algorithm="skmeans", k=2)
@@ -278,3 +340,15 @@ class TestMemoryFootprint:
             engine.push(x)
         clusterer = k * p + k  # prototypes + counts
         assert engine.state_float_count() == clusterer + 2 * k * (p + 2) + 2
+
+    def test_oec_state_floats(self):
+        # per cluster: mean, covariance, inverse covariance, count, mass; plus
+        # the forgetful mean, scatter and mass, and one lam set for xb_lambda
+        X = gen_s3(0).X()
+        engine = StreamEngine(RunConfig(algorithm="oec", indices=("xb_lambda",)))
+        for x in X:
+            engine.push(x)
+        k, p = engine.trace[-1].k, X.shape[1]
+        assert k >= 2
+        clusterer = k * (p + 2 * p * p + 2) + p + p * p + 1
+        assert engine.state_float_count() == clusterer + k * (p + 2) + 2

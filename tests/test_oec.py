@@ -3,8 +3,9 @@ import pytest
 from scipy import integrate
 
 from streamcvi.oec import (
-    EllipsoidalPrototype,
     OecConfig,
+    OecState,
+    _ForgetfulStats,
     chi2_inverse,
     mahalanobis_sq,
     oec_init,
@@ -15,16 +16,24 @@ from streamcvi.oec import (
 from helpers import validate_membership
 
 
-def make_proto(m, S_inv, count=30, n_s=20):
-    S_inv = np.asarray(S_inv, dtype=float)
-    return EllipsoidalPrototype(
-        m=np.asarray(m, dtype=float),
+def make_state(ms, S_invs, count=30):
+    """OEC state with one cluster row per (mean, inverse covariance) pair."""
+    m = np.array(ms, dtype=float)
+    S_inv = np.array(S_invs, dtype=float)
+    k, p = m.shape
+    return OecState(
+        m=m,
         cov=np.linalg.inv(S_inv),
         S_inv=S_inv,
-        count=count,
-        W=float(count),
-        n_s=n_s,
+        count=np.full(k, count),
+        W=np.full(k, float(count)),
+        forget=_ForgetfulStats(m=m[0].copy(), S=np.zeros((p, p)), W=1.0),
+        chi2_out=chi2_inverse(p, OecConfig().gamma_out),
     )
+
+
+def membership(x, state):
+    return oec_membership(x, state.m, state.S_inv)
 
 
 def run_stream(X, config=OecConfig()):
@@ -59,58 +68,97 @@ class TestChi2Inverse:
 
 class TestMahalanobis:
     def test_identity_reduces_to_euclidean(self):
-        proto = make_proto([0.0, 0.0], np.eye(2))
-        assert mahalanobis_sq([3.0, 4.0], proto) == pytest.approx(25.0)
+        state = make_state([[0.0, 0.0], [1.0, 1.0]], [np.eye(2), np.eye(2)])
+        assert np.allclose(mahalanobis_sq(np.array([3.0, 4.0]), state.m, state.S_inv),
+                           [25.0, 13.0])
+
+    def test_hand_expanded_quadratic_form(self):
+        # d = (1, 2) against [[2, 0.5], [0.5, 1]]: 2 + 2*0.5*2 + 4 = 8
+        state = make_state([[0.0, 0.0], [1.0, 2.0]],
+                           [[[2.0, 0.5], [0.5, 1.0]], np.eye(2)])
+        assert np.array_equal(mahalanobis_sq(np.array([1.0, 2.0]), state.m, state.S_inv),
+                              [8.0, 0.0])
 
     def test_zero_at_mean(self):
-        proto = make_proto([2.0, -1.0], [[2.0, 0.3], [0.3, 1.0]])
-        assert mahalanobis_sq([2.0, -1.0], proto) == 0.0
+        state = make_state([[2.0, -1.0]], [[[2.0, 0.3], [0.3, 1.0]]])
+        assert mahalanobis_sq(np.array([2.0, -1.0]), state.m, state.S_inv)[0] == 0.0
 
     def test_matches_triple_loop(self):
         rng = np.random.default_rng(0)
-        A = rng.normal(size=(3, 3))
-        S_inv = A @ A.T + 0.5 * np.eye(3)
-        m = rng.normal(size=3)
-        x = rng.normal(size=3)
-        proto = make_proto(m, S_inv)
-        expected = sum(
-            (x[i] - m[i]) * S_inv[i, j] * (x[j] - m[j])
-            for i in range(3)
-            for j in range(3)
-        )
-        assert mahalanobis_sq(x, proto) == pytest.approx(expected, rel=1e-12)
+        k, p = 4, 3
+        S_inv = np.stack([A @ A.T + 0.5 * np.eye(p) for A in rng.normal(size=(k, p, p))])
+        m = rng.normal(size=(k, p))
+        x = rng.normal(size=p)
+        F = mahalanobis_sq(x, m, S_inv)
+        assert F.shape == (k,)
+        for r in range(k):
+            expected = sum(
+                (x[i] - m[r, i]) * S_inv[r, i, j] * (x[j] - m[r, j])
+                for i in range(p)
+                for j in range(p)
+            )
+            assert F[r] == pytest.approx(expected, rel=1e-12)
+
+    def test_lost_definiteness_raises(self):
+        S_inv = np.stack([np.eye(2), -np.eye(2)])
+        with pytest.raises(RuntimeError, match="negative Mahalanobis"):
+            mahalanobis_sq(np.array([1.0, 0.0]), np.zeros((2, 2)), S_inv)
 
 
 class TestMembership:
     def test_single_cluster(self):
-        proto = make_proto([0.0, 0.0], np.eye(2))
-        u = oec_membership([5.0, 5.0], [proto])
+        u = membership([5.0, 5.0], make_state([[0.0, 0.0]], [np.eye(2)]))
         assert np.array_equal(u.u, [1.0])
 
     def test_equal_distances_split_evenly(self):
-        protos = [make_proto([-1.0, 0.0], np.eye(2)), make_proto([1.0, 0.0], np.eye(2))]
-        u = oec_membership([0.0, 3.0], protos)
+        state = make_state([[-1.0, 0.0], [1.0, 0.0]], [np.eye(2)] * 2)
+        u = membership([0.0, 3.0], state)
         assert np.allclose(u.u, [0.5, 0.5])
 
     def test_hand_expanded_ratio(self):
-        # distances 1 and 2: u_1 = [1 + (1/2)^2]^-1 = 0.8
-        protos = [make_proto([0.0, 0.0], np.eye(2)), make_proto([0.0, 3.0], np.eye(2))]
-        # x at distance^2 = 1 from first, 4 from second
-        u = oec_membership([1.0, 0.0], protos)
-        # F1=1, F2=(1)^2+(3)^2=10 -> recompute exactly
+        state = make_state([[0.0, 0.0], [0.0, 3.0]], [np.eye(2)] * 2)
+        # x at distance^2 F1 = 1 from the first, F2 = 1 + 9 = 10 from the second
+        u = membership([1.0, 0.0], state)
         F1, F2 = 1.0, 10.0
         expected = 1.0 / (1.0 + (F1 / F2) ** 2)
         assert u.u[0] == pytest.approx(expected)
         assert np.sum(u.u) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_distance_one_hot_lowest_index(self):
-        protos = [
-            make_proto([1.0, 1.0], np.eye(2)),
-            make_proto([0.0, 0.0], np.eye(2)),
-            make_proto([0.0, 0.0], np.eye(2)),
-        ]
-        u = oec_membership([0.0, 0.0], protos)
+        state = make_state([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]], [np.eye(2)] * 3)
+        u = membership([0.0, 0.0], state)
         assert np.array_equal(u.u, [0.0, 1.0, 0.0])
+
+    def test_wrong_dimension_rejected(self):
+        with pytest.raises(ValueError):
+            membership([0.0, 0.0, 0.0], make_state([[0.0, 0.0]], [np.eye(2)]))
+
+
+class TestShielding:
+    def test_stabilized_cluster_ignores_far_point(self):
+        # both rows are stabilized (count 30 >= n_s 20); x is far outside the
+        # second's boundary but inside the first's, so only the first moves
+        state = make_state([[0.0, 0.0], [100.0, 0.0]], [np.eye(2)] * 2)
+        new, u, V_old, V_new, _ = oec_step(state, [1.0, 0.0], OecConfig())
+        assert 0.0 < u.u[1] < 1e-6
+        assert np.array_equal(new.count, [31, 30])
+        assert new.W[0] == 30.0 + u.u[0] and new.W[1] == 30.0
+        assert np.array_equal(V_new[1], [100.0, 0.0])
+        assert not np.array_equal(V_new[0], V_old[0])
+        assert np.array_equal(new.cov[1], state.cov[1])
+
+    def test_stabilizing_cluster_absorbs_far_point(self):
+        state = make_state([[0.0, 0.0]], [np.eye(2)], count=5)
+        new, _, _, V_new, _ = oec_step(state, [50.0, 0.0], OecConfig())
+        assert np.array_equal(new.count, [6])
+        assert V_new[0][0] == pytest.approx(50.0 / 6.0)  # W = 5, u = 1
+
+    def test_shielded_winner_is_not_counted(self):
+        state = make_state([[0.0, 0.0]], [np.eye(2)])
+        new, u, _, _, _ = oec_step(state, [50.0, 0.0], OecConfig())
+        assert np.array_equal(u.u, [1.0])
+        assert np.array_equal(new.count, [30])
+        assert new.m is state.m and new.S_inv is state.S_inv
 
 
 class TestOecStep:
@@ -145,7 +193,7 @@ class TestOecStep:
         for state, u, V_old, V_new, events in run_stream(X):
             pass
         before = [e for e in events if e[0] == "cluster_created"]
-        state, _, _, _, ev = oec_step(state, state.protos[0].m.copy(), OecConfig())
+        state, _, _, _, ev = oec_step(state, state.m[0].copy(), OecConfig())
         assert not [e for e in ev if e[0] == "cluster_created"]
         assert state.k == 1 + len(before)
 
@@ -162,9 +210,9 @@ class TestOecStep:
             rng.multivariate_normal([30, 30], np.eye(2), size=300),
         ])
         for state, *_ in run_stream(X):
-            for pr in state.protos:
-                assert np.allclose(pr.S_inv, pr.S_inv.T, atol=1e-10)
-                np.linalg.cholesky(pr.S_inv)  # raises if not PD
+            for S_inv in state.S_inv:
+                assert np.allclose(S_inv, S_inv.T, atol=1e-10)
+                np.linalg.cholesky(S_inv)  # raises if not PD
 
     def test_harden_reports_one_hot(self):
         rng = np.random.default_rng(4)
@@ -174,9 +222,28 @@ class TestOecStep:
             assert u.kind == "crisp"
             assert validate_membership(u) is None
 
-    def test_forgetful_mean_matches_running_mean_at_lambda_one(self):
-        from streamcvi.oec import _ForgetfulStats
+    def test_birth_appends_one_row_to_every_array(self):
+        from streamcvi.datagen import gen_s3
 
+        X = gen_s3(0).X()
+        prev = oec_init(X[:3], OecConfig())
+        births = 0
+        for state, u, V_old, V_new, events in run_stream(X):
+            if state.k > prev.k:
+                births += 1
+                k, p = state.k, state.p
+                assert state.k == prev.k + 1
+                assert state.m.shape == (k, p) and state.cov.shape == (k, p, p)
+                assert state.S_inv.shape == (k, p, p)
+                assert state.count.shape == state.W.shape == (k,)
+                assert state.count[-1] == p + 1 and state.W[-1] == p + 1
+                assert np.array_equal(V_old[k - 1], V_new[k - 1])
+                assert u.k == k and u.u[-1] == 0.0
+                assert events[-1] == ("cluster_created", f"k={k}")
+            prev = state
+        assert births >= 3
+
+    def test_forgetful_mean_matches_running_mean_at_lambda_one(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(200, 3))
         lam = 1.0 - 1e-12
