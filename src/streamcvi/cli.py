@@ -143,7 +143,7 @@ def cmd_verify(args) -> int:
     report = run_verification(n_trials=args.trials, seed=args.seed or 0)
     for fam, err in sorted(report.max_rel_err.items()):
         print(f"{fam:<10} max relative error {err:.3e}")
-    print(f"k-row vs one-row updates max |diff| {report.lambda_one_err:.3e}")
+    print(f"stacked vs one-row updates max |diff| {report.lambda_one_err:.3e}")
     print(f"k=1 fallback  max relative error {report.k1_err:.3e}")
     if report.passed:
         print(f"PASS ({len(report.trials)} trials)")

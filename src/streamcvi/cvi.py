@@ -9,8 +9,9 @@ produced by an online clusterer:
     db_lambda : same with L_i = C_lam_i / max(1, M_lam_i)
 
 Every variant is a read-out of per-cluster accumulators (C, G, M): xb and db
-read the lam=1 sums, xb_lambda and db_lambda the lam sums. An IndexSet keeps
-one accumulator set per forgetting factor its families need, so at most two.
+read the lam=1 row, xb_lambda and db_lambda the lam row. An IndexSet keeps
+one stacked Accumulators value with a row for each forgetting factor its
+families need, so at most two, and reads every DB variant in one pass.
 
 Both indices are min-optimal. Undefined steps (coincident centers, a single
 cluster for DB, or a non-finite read-out) are flagged, never raised: the
@@ -27,16 +28,24 @@ from functools import lru_cache
 import numpy as np
 
 from .core import MembershipVector, PrototypeSet, pairwise_sq_distances
-from .dispersion import Accumulators, grow, new_accumulators, update_dispersion
+from .dispersion import Accumulators, grow, new_accumulators, per_row, update_dispersion
 
 log = logging.getLogger(__name__)
 
 INDEX_FAMILIES = ("xb", "xb_lambda", "db", "db_lambda")
 
+# Without forgetting, DB reads L = C / M, and L = 0 for a cluster with no
+# membership mass yet (M = 0, hence C = 0). Flooring M at the smallest
+# positive float gives both: C / M for every M > 0, and 0 / floor = 0.
+_EMPTY_CLUSTER_FLOOR = float(np.finfo(float).smallest_subnormal)
+
 
 @lru_cache(maxsize=128)
-def _offdiag(k: int) -> np.ndarray:
-    return ~np.eye(k, dtype=bool)
+def _inf_diagonal(k: int) -> np.ndarray:
+    """Adding it to a (k, k) distance matrix puts inf on the diagonal."""
+    D = np.diag(np.full(k, np.inf))
+    D.flags.writeable = False  # shared by every caller
+    return D
 
 
 @dataclass(frozen=True)
@@ -51,53 +60,41 @@ def _undefined(n: int, k: int) -> IndexValue:
     return IndexValue(value=math.nan, n=n, k=k, defined=False)
 
 
-def _xb_value(acc: Accumulators, h: float, n: int) -> IndexValue:
-    k = acc.k
-    if h <= 0.0:
-        log.debug("XB undefined at n=%d: zero separation", n)
-        return _undefined(n, k)
-    J = sum(acc.C.tolist())
-    if acc.lam == 1.0:
-        return IndexValue(value=J / (n * h), n=n, k=k)
-    return IndexValue(value=(1.0 - acc.lam) * J / h, n=n, k=k)
+@dataclass(frozen=True)
+class _Readout:
+    """Read-out rules fixed at start, per accumulator row (one per factor)."""
 
-
-def _db_value(acc: Accumulators, gaps, n: int) -> IndexValue:
-    """``gaps`` is the (k, k) squared center distances with inf on the diagonal."""
-    k = acc.k
-    if gaps is None:
-        return _undefined(n, k)
-    if acc.lam == 1.0:
-        # An empty cluster (no membership mass yet) contributes L = 0.
-        L = np.where(acc.M == 0.0, 0.0, acc.C / np.where(acc.M == 0.0, 1.0, acc.M))
-    else:
-        L = acc.C / np.maximum(1.0, acc.M)
-    ratios = (L[:, None] + L[None, :]) / gaps
-    value = float(np.where(_offdiag(k), ratios, -np.inf).max(axis=1).mean())
-    return IndexValue(value=value, n=n, k=k)
+    rows: tuple[int, ...]           # the row each enabled family reads
+    xb_scale: tuple[float, ...]     # 1 - lam, or 1 without forgetting
+    xb_per_point: tuple[bool, ...]  # XB divides by n: no forgetting
+    xb: bool                        # some xb family is enabled
+    db_floor: float | np.ndarray | None  # per-row floor on M in L = C / max(floor, M);
+                                         # None when no db family is enabled
 
 
 @dataclass(frozen=True)
 class IndexSet:
     """State of every enabled index family: one immutable value per stream point.
 
-    ``plain`` holds the lam=1 accumulators (xb, db), ``forgetting`` the lam
-    ones (xb_lambda, db_lambda); a slot no enabled family reads is None.
+    ``accumulators`` holds one row per forgetting factor: lam=1 (xb, db)
+    first, then lam (xb_lambda, db_lambda), each only if a family reads it.
     ``h`` is the XB separation of the last step: the minimum squared center
     gap, or while k == 1 the running max of ||v_1 - x||^2.
     """
 
     families: tuple[str, ...]
-    plain: Accumulators | None
-    forgetting: Accumulators | None
+    accumulators: Accumulators
     h: float
     n: int
+    readout: _Readout
 
     @classmethod
     def start(cls, families, k: int, p: int, lam: float = 1.0,
               n0: int = 0, M0: float = 0.0) -> "IndexSet":
         """Fresh state after ``n0`` warm-up points, each cluster holding mass M0."""
         families = tuple(families)
+        if not families:
+            raise ValueError("at least one index family must be enabled")
         for fam in families:
             if fam not in INDEX_FAMILIES:
                 raise ValueError(f"unknown index family {fam!r}")
@@ -105,20 +102,20 @@ class IndexSet:
         if forgetting and not (0.0 < lam < 1.0):
             raise ValueError("forgetting variants need lam in (0, 1)")
         plain = any(not fam.endswith("_lambda") for fam in families)
-        return cls(
-            families=families,
-            plain=new_accumulators(k, p, M0=M0) if plain else None,
-            forgetting=new_accumulators(k, p, lam=lam, M0=M0) if forgetting else None,
-            h=0.0,
-            n=n0,
+        lams = tuple(f for f, used in ((1.0, plain), (lam, forgetting)) if used)
+        readout = _Readout(
+            rows=tuple(lams.index(lam if fam.endswith("_lambda") else 1.0)
+                       for fam in families),
+            xb_scale=tuple(1.0 - f if f < 1.0 else 1.0 for f in lams),
+            xb_per_point=tuple(f == 1.0 for f in lams),
+            xb=any(fam.startswith("xb") for fam in families),
+            db_floor=per_row([1.0 if f < 1.0 else _EMPTY_CLUSTER_FLOOR for f in lams])
+            if any(fam.startswith("db") for fam in families) else None,
         )
-
-    @property
-    def accumulators(self) -> tuple[Accumulators, ...]:
-        return tuple(a for a in (self.plain, self.forgetting) if a is not None)
+        return cls(families, new_accumulators(k, p, lam=lams, M0=M0), 0.0, n0, readout)
 
     def float_count(self) -> int:
-        return 2 + sum(a.float_count() for a in self.accumulators)  # + h, n
+        return 2 + self.accumulators.float_count()  # + h, n
 
     def step(self, V_old: PrototypeSet, V_new: PrototypeSet, u: MembershipVector,
              x: np.ndarray) -> tuple["IndexSet", dict[str, IndexValue]]:
@@ -126,26 +123,36 @@ class IndexSet:
         family's value. Clusters born this step (V_new.k above the current k)
         get empty accumulators first; ``x`` must be a finite (p,) array."""
         k = V_new.k
-        plain, forgetting = (
-            None if a is None
-            else update_dispersion(grow(a, k), V_old.centers, V_new.centers, u.u, x)
-            for a in (self.plain, self.forgetting)
-        )
+        acc = update_dispersion(grow(self.accumulators, k), V_old.centers, V_new.centers,
+                                u.u, x)
         n = self.n + 1
+        ro = self.readout
+        db = None
         if k >= 2:
-            gaps = np.where(_offdiag(k), pairwise_sq_distances(V_new.centers), np.inf)
-            h = float(gaps.min())
+            gaps = pairwise_sq_distances(V_new.centers) + _inf_diagonal(k)
+            h = float(np.minimum.reduce(gaps, axis=None))
             if h <= 0.0:
-                log.debug("DB undefined at n=%d: coincident centers", n)
-                gaps = None
+                log.debug("XB and DB undefined at n=%d: coincident centers", n)
+            elif ro.db_floor is not None:
+                L = acc.C / np.maximum(ro.db_floor, acc.M)
+                # The diagonal reads (L_i + L_i) / inf = 0, never above the
+                # row's off-diagonal ratios (all >= 0), so it needs no mask.
+                worst = ((L[:, :, None] + L[:, None, :]) / gaps).max(axis=2)
+                db = [total / k for total in worst.sum(axis=1).tolist()]
         else:
             d = V_new[0] - x
             h = max(self.h, float(d @ d))
-            gaps = None
+        if ro.xb:
+            J = list(map(sum, acc.C.tolist()))
         values = {}
-        for fam in self.families:
-            acc = forgetting if fam.endswith("_lambda") else plain
-            val = _xb_value(acc, h, n) if fam.startswith("xb") else _db_value(acc, gaps, n)
+        for fam, row in zip(self.families, ro.rows):
+            if fam.startswith("xb"):
+                if h > 0.0:
+                    value = ro.xb_scale[row] * J[row] / (n * h if ro.xb_per_point[row] else h)
+                else:
+                    value = math.nan
+            else:
+                value = math.nan if db is None else db[row]
             # Overflow in the accumulators reads out as inf or nan: undefined.
-            values[fam] = val if math.isfinite(val.value) else _undefined(n, k)
-        return IndexSet(self.families, plain, forgetting, h, n), values
+            values[fam] = IndexValue(value, n, k) if math.isfinite(value) else _undefined(n, k)
+        return IndexSet(self.families, acc, h, n, ro), values

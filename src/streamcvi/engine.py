@@ -46,6 +46,22 @@ class RunConfig:
             raise ValueError("k must be positive")
 
 
+# What a clusterer raises when it cannot process a point: a non-finite
+# membership or center, a singular covariance (numpy's LinAlgError is a
+# ValueError), or a Mahalanobis distance that lost definiteness.
+_CLUSTERER_FAILURES = (ValueError, RuntimeError)
+
+
+class ClustererError(ValueError):
+    """The clusterer failed on a point; names the algorithm and the point's
+    1-based stream index ``n``."""
+
+    def __init__(self, algorithm: str, n: int, cause: Exception):
+        super().__init__(f"{algorithm} clusterer failed at n={n}: {cause}")
+        self.algorithm = algorithm
+        self.n = n
+
+
 def init_icvi_state(
     mode: str, n_warmup: int, k: int, p: int,
     indices=INDEX_FAMILIES, lam: float = 0.9,
@@ -90,30 +106,42 @@ class StreamEngine:
             if len(self._buffer) < self._warmup_target(x.shape[0]):
                 return None
             p = x.shape[0]
-            if cfg.algorithm == "skmeans":
-                self._cluster_state = skmeans_init(self._buffer)
-                k0 = cfg.k
-            else:
-                self._cluster_state = oec_init(self._buffer, cfg.oec)
-                k0 = 1
+            try:
+                if cfg.algorithm == "skmeans":
+                    self._cluster_state = skmeans_init(self._buffer)
+                    k0 = cfg.k
+                else:
+                    self._cluster_state = oec_init(self._buffer, cfg.oec)
+                    k0 = 1
+            except _CLUSTERER_FAILURES as exc:
+                raise ClustererError(cfg.algorithm, self._n, exc) from exc
             self._indices = init_icvi_state(
                 cfg.icvi_init, self._n, k0, p, cfg.indices, cfg.lam
             )
             self._buffer = []
             return None
 
-        if cfg.algorithm == "skmeans":
-            self._cluster_state, u, V_old, V_new = skmeans_step(self._cluster_state, x)
-            step_events = []
-        else:
-            self._cluster_state, u, V_old, V_new, step_events = oec_step(
-                self._cluster_state, x, cfg.oec
-            )
+        try:
+            if cfg.algorithm == "skmeans":
+                self._cluster_state, u, V_old, V_new = skmeans_step(self._cluster_state, x)
+                step_events = []
+            else:
+                self._cluster_state, u, V_old, V_new, step_events = oec_step(
+                    self._cluster_state, x, cfg.oec
+                )
+        except _CLUSTERER_FAILURES as exc:
+            raise ClustererError(cfg.algorithm, self._n, exc) from exc
 
         for kind, detail in step_events:
             self.events.append(EventRecord(n=self._n, kind=kind, detail=detail))
 
         self._indices, step_values = self._indices.step(V_old, V_new, u, x)
+        clamped = self._indices.accumulators.clamped
+        if clamped:
+            self.events.append(EventRecord(
+                n=self._n, kind="dispersion_clamped",
+                detail="lam=" + ",".join(repr(f) for f in clamped),
+            ))
         values: dict[str, float | None] = {}
         for fam, val in step_values.items():
             if val.defined:

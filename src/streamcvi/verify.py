@@ -150,29 +150,32 @@ def run_trial(seed: int, n=None, k=None, p=None, lam=None, empty_cluster=False) 
 
 
 def lambda_one_consistency(seed: int, n=200, k=3, p=2) -> float:
-    """Max |difference| in (C, G, M) between one k-row accumulator update at
-    lam=1 and k independent one-row updates of the same clusters. The shared
-    vectorized update must treat each cluster's row on its own, so the two
+    """Max |difference| in (C, G, M) between one stacked accumulator update
+    of k clusters at lam = 1 and 0.9 and 2*k independent one-row updates
+    (one factor, one cluster) of the same rows. The shared update must treat
+    each row on its own, across clusters and across factors, so the two
     agree exactly."""
+    lam = (1.0, 0.9)
     rng = np.random.default_rng(seed)
     X, U, Vs = random_stream(rng, n, k, p)
     U = np.clip(U, 0.0, 1.0)
-    whole = new_accumulators(k, p)
-    rows = [new_accumulators(1, p) for _ in range(k)]
+    whole = new_accumulators(k, p, lam=lam)
+    rows = [[new_accumulators(1, p, lam=(f,)) for _ in range(k)] for f in lam]
     worst = 0.0
     for t in range(1, n + 1):
         whole = update_dispersion(whole, Vs[t - 1], Vs[t], U[t - 1], X[t - 1])
-        for i in range(k):
-            one = slice(i, i + 1)
-            rows[i] = update_dispersion(
-                rows[i], Vs[t - 1][one], Vs[t][one], U[t - 1][one], X[t - 1]
-            )
-            worst = max(
-                worst,
-                abs(whole.C[i] - rows[i].C[0]),
-                abs(whole.M[i] - rows[i].M[0]),
-                float(np.max(np.abs(whole.G[i] - rows[i].G[0]))),
-            )
+        for r in range(len(lam)):
+            for i in range(k):
+                cut = slice(i, i + 1)
+                one = rows[r][i] = update_dispersion(
+                    rows[r][i], Vs[t - 1][cut], Vs[t][cut], U[t - 1][cut], X[t - 1]
+                )
+                worst = max(
+                    worst,
+                    abs(whole.C[r, i] - one.C[0, 0]),
+                    abs(whole.M[r, i] - one.M[0, 0]),
+                    float(np.max(np.abs(whole.G[r, i] - one.G[0, 0]))),
+                )
     return worst
 
 

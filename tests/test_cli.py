@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 from streamcvi.cli import main
+from streamcvi.datagen import gen_s3
 from streamcvi.stream_io import read_events, read_trace
 
 
@@ -26,6 +28,11 @@ input = {input_path}
 features = 0,1
 algorithm = skmeans
 k = 2
+
+[oec-input]
+input = {input_path}
+features = 0,1
+algorithm = oec
 """
 
 
@@ -100,6 +107,20 @@ class TestRun:
         ])
         assert code == 1
         assert "needs-input" in capsys.readouterr().err
+
+    def test_clusterer_failure_is_soft_error(self, tmp_path, scenario_file, capsys):
+        # squared Mahalanobis distances of these points overflow
+        (tmp_path / "in.csv").write_text(
+            "".join(f"{x!r},{y!r}\n" for x, y in (gen_s3(0).X()[:20] * 1e200).tolist())
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main([
+                "run", "oec-input",
+                "--scenario-file", str(scenario_file),
+                "--out", str(tmp_path / "res"),
+            ])
+        assert code == 1
+        assert "oec clusterer failed at n=4" in capsys.readouterr().err
 
     def test_cli_overrides_take_precedence(self, tmp_path, scenario_file):
         main([

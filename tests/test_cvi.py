@@ -229,17 +229,20 @@ class TestIndexProperties:
 class TestIndexSet:
     def test_one_accumulator_set_per_forgetting_factor(self):
         both = IndexSet.start(INDEX_FAMILIES, 3, 2, lam=0.9)
-        assert [a.lam for a in both.accumulators] == [1.0, 0.9]
+        assert both.accumulators.lam == (1.0, 0.9)
+        assert both.accumulators.G.shape == (2, 3, 2)
         assert both.float_count() == 2 + 2 * 3 * (2 + 2)
-        assert [a.lam for a in IndexSet.start(("xb", "db"), 3, 2).accumulators] == [1.0]
+        assert IndexSet.start(("xb", "db"), 3, 2).accumulators.lam == (1.0,)
         only = IndexSet.start(("db_lambda",), 3, 2, lam=0.5).accumulators
-        assert [a.lam for a in only] == [0.5]
+        assert only.lam == (0.5,) and only.C.shape == (1, 3)
 
     def test_bad_families_and_lambda_rejected(self):
         with pytest.raises(ValueError):
             IndexSet.start(("xb", "silhouette"), 2, 2)
         with pytest.raises(ValueError):
             IndexSet.start(("xb_lambda",), 2, 2, lam=1.0)
+        with pytest.raises(ValueError):
+            IndexSet.start((), 2, 2)
 
     def test_shared_state_matches_single_family_runs(self):
         rng = np.random.default_rng(17)
@@ -263,11 +266,11 @@ class TestIndexSet:
         V2 = PrototypeSet(np.array([[0.0, 0.0], [5.0, 0.0]]))
         u = MembershipVector([1.0, 0.0], kind="fuzzy")  # newborn padded with u = 0
         state, values = state.step(V2, V2, u, np.array([0.0, 1.0]))
-        plain, forgetting = state.accumulators
-        assert plain.k == forgetting.k == 2 and state.n == 5
-        assert np.array_equal(plain.M, [3.0 + 1.0 + 1.0, 0.0])
-        assert np.array_equal(forgetting.M, [(0.9 * 3.0 + 1.0) * 0.9 + 1.0, 0.0])
-        assert np.array_equal(plain.C, [2.0, 0.0])
+        acc = state.accumulators
+        assert acc.lam == (1.0, 0.9) and acc.k == 2 and state.n == 5
+        assert np.array_equal(acc.M, [[3.0 + 1.0 + 1.0, 0.0],
+                                      [(0.9 * 3.0 + 1.0) * 0.9 + 1.0, 0.0]])
+        assert np.array_equal(acc.C[0], [2.0, 0.0])
         assert values["xb"].value == pytest.approx(2.0 / (5 * 25.0))
         assert values["db_lambda"].defined
         with pytest.raises(ValueError):  # clusters never disappear

@@ -16,14 +16,15 @@ def random_walk(rng, n, p, step=0.1):
 
 
 def step1(acc, v_old, v_new, u, x):
-    """One-cluster update from plain vectors and a scalar membership."""
+    """One-cluster update from plain vectors and a scalar membership; ``acc``
+    holds one row per forgetting factor."""
     row = lambda v: np.asarray(v, dtype=float).reshape(1, -1)  # noqa: E731
     return update_dispersion(acc, row(v_old), row(v_new), np.array([float(u)]),
                              np.asarray(x, dtype=float))
 
 
 def run_walk(xs, us, vs, lam):
-    acc = new_accumulators(1, xs.shape[1], lam=lam)
+    acc = new_accumulators(1, xs.shape[1], lam=(lam,))
     for t in range(xs.shape[0]):
         acc = step1(acc, vs[t], vs[t + 1], us[t], xs[t])
     return acc
@@ -37,12 +38,12 @@ def batch_C(xs, us, v, lam):
 class TestUpdateDispersion:
     def test_first_sample(self):
         s = step1(new_accumulators(1, 2), [0, 0], [0, 0], 1.0, [3, 4])
-        assert s.C[0] == 25.0
-        assert np.array_equal(s.G[0], [3.0, 4.0])
-        assert s.M[0] == 1.0
+        assert s.C[0, 0] == 25.0
+        assert np.array_equal(s.G[0, 0], [3.0, 4.0])
+        assert s.M[0, 0] == 1.0
 
     def test_zero_membership_stationary_center_is_noop(self):
-        s0 = Accumulators(C=np.array([7.0]), G=np.array([[1.0, -2.0]]), M=np.array([3.0]))
+        s0 = Accumulators(C=np.array([[7.0]]), G=np.array([[[1.0, -2.0]]]), M=np.array([[3.0]]))
         s1 = step1(s0, [1, 1], [1, 1], 0.0, [9, 9])
         assert np.array_equal(s1.C, s0.C)
         assert np.array_equal(s1.G, s0.G)
@@ -52,7 +53,7 @@ class TestUpdateDispersion:
         rng = np.random.default_rng(0)
         xs, us, vs = random_walk(rng, 200, 3)
         s = run_walk(xs, us, vs, lam=1.0)
-        assert s.C[0] == pytest.approx(batch_C(xs, us, vs[200], 1.0), rel=1e-9)
+        assert s.C[0, 0] == pytest.approx(batch_C(xs, us, vs[200], 1.0), rel=1e-9)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -77,58 +78,74 @@ class TestUpdateDispersion:
 
 class TestUpdateDispersionForgetting:
     def test_first_sample_unaffected_by_decay(self):
-        s = step1(new_accumulators(1, 2, lam=0.9), [0, 0], [0, 0], 1.0, [3, 4])
-        assert s.C[0] == 25.0
-        assert s.M[0] == 1.0
+        s = step1(new_accumulators(1, 2, lam=(0.9,)), [0, 0], [0, 0], 1.0, [3, 4])
+        assert s.C[0, 0] == 25.0
+        assert s.M[0, 0] == 1.0
 
     def test_geometric_accumulation(self):
-        s = new_accumulators(1, 2, lam=0.9)
+        s = new_accumulators(1, 2, lam=(0.9,))
         for _ in range(2):
             s = step1(s, [0, 0], [0, 0], 1.0, [3, 4])
-        assert s.C[0] == pytest.approx(0.9 * 25.0 + 25.0)
-        assert s.M[0] == pytest.approx(1.9)
+        assert s.C[0, 0] == pytest.approx(0.9 * 25.0 + 25.0)
+        assert s.M[0, 0] == pytest.approx(1.9)
 
     def test_matches_batch_oracle_on_drifting_stream(self):
         rng = np.random.default_rng(1)
         xs, us, vs = random_walk(rng, 200, 2)
         s = run_walk(xs, us, vs, lam=0.9)
-        assert s.C[0] == pytest.approx(batch_C(xs, us, vs[200], 0.9), rel=1e-9)
+        assert s.C[0, 0] == pytest.approx(batch_C(xs, us, vs[200], 0.9), rel=1e-9)
 
     def test_lambda_one_reduction_is_exact(self):
-        # One update path serves every cluster: a k-row update equals k
-        # one-row updates bit for bit, with and without forgetting.
+        # One update path serves every row: a stacked (lam = 1, 0.9) update
+        # of k clusters equals one-cluster, one-factor updates bit for bit.
         assert lambda_one_consistency(2, n=120, k=4, p=3) == 0.0
+        assert lambda_one_consistency(4, n=60, k=2, p=50) == 0.0
+
+    def test_stacked_rows_match_separate_factors(self):
         rng = np.random.default_rng(2)
         k, p = 3, 2
         X = rng.normal(size=(60, p))
         U = rng.dirichlet(np.ones(k), size=60)
         Vs = np.cumsum(rng.normal(0.0, 0.1, size=(61, k, p)), axis=0)
-        whole = new_accumulators(k, p, lam=0.9)
-        rows = [new_accumulators(1, p, lam=0.9) for _ in range(k)]
+        whole = new_accumulators(k, p, lam=(1.0, 0.9), M0=2.0)
+        alone = [new_accumulators(k, p, lam=(f,), M0=2.0) for f in (1.0, 0.9)]
         for t in range(60):
             whole = update_dispersion(whole, Vs[t], Vs[t + 1], U[t], X[t])
-            rows = [update_dispersion(r, Vs[t][i:i + 1], Vs[t + 1][i:i + 1], U[t][i:i + 1], X[t])
-                    for i, r in enumerate(rows)]
-        assert np.array_equal(whole.C, [r.C[0] for r in rows])
-        assert np.array_equal(whole.G, [r.G[0] for r in rows])
-        assert np.array_equal(whole.M, [r.M[0] for r in rows])
+            alone = [update_dispersion(a, Vs[t], Vs[t + 1], U[t], X[t]) for a in alone]
+        assert whole.lam == (1.0, 0.9)
+        for r, a in enumerate(alone):
+            assert np.array_equal(whole.C[r], a.C[0])
+            assert np.array_equal(whole.G[r], a.G[0])
+            assert np.array_equal(whole.M[r], a.M[0])
 
     def test_bad_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            new_accumulators(1, 2, lam=0.0)
-        with pytest.raises(ValueError):
-            new_accumulators(1, 2, lam=1.5)
+        for lam in ((0.0,), (1.5,), (1.0, 0.0), ()):
+            with pytest.raises(ValueError):
+                new_accumulators(1, 2, lam=lam)
 
 
 class TestGrow:
     def test_newborn_rows_start_empty(self):
-        acc = step1(new_accumulators(1, 2, lam=0.9, M0=5.0), [0, 0], [0, 0], 1.0, [3, 4])
+        acc = new_accumulators(1, 2, lam=(1.0, 0.9), M0=5.0)
+        acc = step1(acc, [0, 0], [0, 0], 1.0, [3, 4])
         grown = grow(acc, 3)
-        assert np.array_equal(grown.C, [25.0, 0.0, 0.0])
-        assert np.array_equal(grown.G, [[3.0, 4.0], [0.0, 0.0], [0.0, 0.0]])
-        assert np.array_equal(grown.M, [0.9 * 5.0 + 1.0, 0.0, 0.0])
-        assert grown.lam == 0.9
+        assert np.array_equal(grown.C, [[25.0, 0.0, 0.0]] * 2)
+        assert np.array_equal(grown.G, [[[3.0, 4.0], [0.0, 0.0], [0.0, 0.0]]] * 2)
+        assert np.array_equal(grown.M, [[5.0 + 1.0, 0.0, 0.0], [0.9 * 5.0 + 1.0, 0.0, 0.0]])
+        assert grown.lam == (1.0, 0.9)
         assert grow(grown, 3) is grown
+
+
+class TestClamp:
+    def test_negative_row_is_clamped_and_named(self):
+        # A hand-built G inconsistent with any history drives the lam = 0.9
+        # row's dispersion below 0: C' = 2 * 0.9 * Q + A = -90 + 0.25.
+        acc = Accumulators(C=np.zeros((2, 1)), G=np.array([[[0.0, 0.0]], [[100.0, 0.0]]]),
+                           M=np.zeros((2, 1)), lam=(1.0, 0.9))
+        out = step1(acc, [0, 0], [0.5, 0], 1.0, [1, 0])
+        assert out.clamped == (0.9,)
+        assert np.array_equal(out.C, [[0.25], [0.0]])
+        assert step1(out, [0.5, 0], [0.5, 0], 1.0, [1, 0]).clamped == ()
 
 
 class TestBatchOracle:
@@ -153,7 +170,7 @@ class TestProperties:
         p = int(rng.integers(1, 5))
         xs, us, vs = random_walk(rng, n, p)
         s = run_walk(xs, us, vs, lam=lam)
-        assert s.C[0] == pytest.approx(batch_C(xs, us, vs[n], lam), rel=1e-9, abs=1e-12)
+        assert s.C[0, 0] == pytest.approx(batch_C(xs, us, vs[n], lam), rel=1e-9, abs=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000), st.sampled_from([1.0, 0.8]))
@@ -163,14 +180,14 @@ class TestProperties:
         xs = rng.normal(size=(n, p))
         us = rng.uniform(size=n)
         v = rng.normal(size=p)
-        s = new_accumulators(1, p, lam=lam)
+        s = new_accumulators(1, p, lam=(lam,))
         for t in range(n):
             s = step1(s, v, v, us[t], xs[t])
         expected = sum(
             lam ** (n - j) * us[j - 1] ** 2 * float(np.sum((xs[j - 1] - v) ** 2))
             for j in range(1, n + 1)
         )
-        assert s.C[0] == pytest.approx(expected, rel=1e-12)
+        assert s.C[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_C_never_negative(self):
         rng = np.random.default_rng(3)
@@ -179,4 +196,4 @@ class TestProperties:
             v_old = rng.normal(size=2) * 10
             v_new = rng.normal(size=2) * 10
             s = step1(s, v_old, v_new, float(rng.uniform()), rng.normal(size=2))
-            assert s.C[0] >= 0.0
+            assert s.C[0, 0] >= 0.0

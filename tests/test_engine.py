@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from streamcvi.cvi import INDEX_FAMILIES
-from streamcvi.datagen import gen_s3
-from streamcvi.engine import RunConfig, StreamEngine, init_icvi_state, run
+from streamcvi.datagen import gen_s1, gen_s2, gen_s3
+from streamcvi.dispersion import Accumulators
+from streamcvi.engine import ClustererError, RunConfig, StreamEngine, init_icvi_state, run
 from streamcvi.oec import oec_init, oec_step
 from streamcvi.skmeans import skmeans_init, skmeans_step
 
@@ -135,15 +136,14 @@ class TestInitModes:
     def test_paper_mode_seeds_mass_with_warmup_count(self):
         state = init_icvi_state("paper", 7, 2, 3)
         assert state.n == 7
-        assert len(state.accumulators) == 2  # lam = 1 and lam = 0.9
-        for acc in state.accumulators:
-            assert np.array_equal(acc.M, [7.0, 7.0])
+        assert state.accumulators.lam == (1.0, 0.9)
+        assert np.array_equal(state.accumulators.M, [[7.0, 7.0], [7.0, 7.0]])
 
     def test_zeros_mode_starts_empty(self):
         state = init_icvi_state("zeros", 7, 2, 3)
         assert state.n == 7
-        for acc in state.accumulators:
-            assert np.array_equal(acc.M, [0.0, 0.0])
+        assert state.accumulators.lam == (1.0, 0.9)
+        assert np.array_equal(state.accumulators.M, np.zeros((2, 2)))
 
     def test_modes_converge_on_stationary_stream(self):
         # the warm-up offset washes out: after 500 evaluated points the two
@@ -190,21 +190,32 @@ class TestTraceSemantics:
                                lam=0.9, icvi_init=mode)
             trace, _ = run(X, config)
             assert_matches_direct(trace, X, config, (1, 2, 30, 117, 118))
+        # the s1 time series (its scenario's seed), around every regime change
+        stream = gen_s1(1422)
+        X = stream.X()
+        config = RunConfig(algorithm="skmeans", k=2, indices=INDEX_FAMILIES, lam=0.9)
+        trace, _ = run(X, config)
+        n0 = config.k
+        changes = {c - n0 + d for c in stream.change_events for d in (0, 1)}
+        assert changes
+        assert_matches_direct(trace, X, config, sorted(changes | {1, 2, len(trace)}))
 
     def test_oec_births_match_batch_oracle(self):
-        # every cluster birth on s3 and the step after it, where the index
-        # state grows and the newborn starts from empty accumulators
-        stream = gen_s3(0)
-        X = stream.X()
+        # every cluster birth on s3 and on s2 (the s2-oec scenario, which
+        # grows both the lam = 1 and the lam rows) and the step after it,
+        # where the index state grows and the newborn starts from empty
+        # accumulators
         config = RunConfig(algorithm="oec", indices=INDEX_FAMILIES, lam=0.9)
-        trace, events = run(X, config)
-        n0 = X.shape[1] + 1
-        births = [e.n - n0 for e in events if e.kind == "cluster_created"]
-        assert len(births) >= 3
-        ks = [r.k for r in trace]
-        assert births == [t for t in range(2, len(ks) + 1) if ks[t - 1] > ks[t - 2]]
-        steps = sorted({s for t in births for s in (t, t + 1)} | {1, births[0] - 1})
-        assert_matches_direct(trace, X, config, steps)
+        for stream in (gen_s3(0), gen_s2(0)):
+            X = stream.X()
+            trace, events = run(X, config)
+            n0 = X.shape[1] + 1
+            births = [e.n - n0 for e in events if e.kind == "cluster_created"]
+            assert len(births) >= 3
+            ks = [r.k for r in trace]
+            assert births == [t for t in range(2, len(ks) + 1) if ks[t - 1] > ks[t - 2]]
+            steps = sorted({s for t in births for s in (t, t + 1)} | {1, births[0] - 1})
+            assert_matches_direct(trace, X, config, steps)
 
     def test_n_column_is_global_sample_index(self):
         trace, _ = run(gaussian_pair(4, n=50), RunConfig(k=2))
@@ -228,6 +239,35 @@ class TestTraceSemantics:
         undefined = sum(v is None for v in values)
         assert undefined > 0
         assert undefined == sum(e.kind == "index_undefined" for e in events)
+
+    def test_clusterer_failure_names_n_and_algorithm(self):
+        # OEC's Mahalanobis distances overflow at its first step on this
+        # stream; the failure must say where, not just what
+        X = gen_s3(0).X() * 1e200
+        engine = StreamEngine(RunConfig(algorithm="oec"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ClustererError, match=r"oec .*n=4") as info:
+                for x in X:
+                    engine.push(x)
+        assert info.value.n == 4 and info.value.algorithm == "oec"
+        assert isinstance(info.value, ValueError)
+
+    def test_dispersion_clamp_is_logged_once(self):
+        # a hand-built index state whose lam row goes negative on the next
+        # point: x = (1, 0) moves center 0 from (0, 0) to (0.5, 0), so
+        # Q = -50 and C' = 2 * 0.9 * Q + A < 0 in that row only
+        engine = StreamEngine(RunConfig(algorithm="skmeans", k=2, icvi_init="zeros"))
+        engine.push([0.0, 0.0])
+        engine.push([10.0, 0.0])
+        state = engine._indices
+        G = np.zeros((2, 2, 2))
+        G[1, 0] = [100.0, 0.0]
+        engine._indices = dataclasses.replace(state, accumulators=Accumulators(
+            C=np.zeros((2, 2)), G=G, M=np.zeros((2, 2)), lam=(1.0, 0.9)))
+        engine.push([1.0, 0.0])
+        engine.push([10.0, 0.0])  # moves no center: nothing to clamp
+        clamps = [e for e in engine.events if e.kind == "dispersion_clamped"]
+        assert [(e.n, e.detail) for e in clamps] == [(3, "lam=0.9")]
 
     def test_deterministic_rerun(self):
         X = gaussian_pair(6, n=300)
