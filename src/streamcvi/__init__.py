@@ -12,9 +12,9 @@ from .core import (
     StreamPoint,
     min_pairwise_center_distance_sq,
 )
-from .cvi import INDEX_FAMILIES, IndexSet, IndexValue
+from .cvi import INDEX_FAMILIES, IndexSet
 from .dispersion import Accumulators, new_accumulators, update_dispersion
-from .engine import RunConfig, StreamEngine, init_icvi_state, run
+from .engine import RunConfig, StreamEngine, run
 from .oec import OecConfig, chi2_inverse, mahalanobis_sq, oec_init, oec_membership, oec_step
 from .skmeans import SkMeansState, skmeans_init, skmeans_step
 

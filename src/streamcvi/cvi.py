@@ -13,8 +13,8 @@ read the lam=1 row, xb_lambda and db_lambda the lam row. An IndexSet keeps
 one stacked Accumulators value with a row for each forgetting factor its
 families need, so at most two, and reads every DB variant in one pass.
 
-Both indices are min-optimal. Undefined steps (coincident centers, a single
-cluster for DB, or a non-finite read-out) are flagged, never raised: the
+Both indices are min-optimal. An undefined value (coincident centers, a
+single cluster for DB, or a non-finite read-out) is None, never raised: the
 state still advances.
 """
 
@@ -48,16 +48,18 @@ def _inf_diagonal(k: int) -> np.ndarray:
     return D
 
 
-@dataclass(frozen=True)
-class IndexValue:
-    value: float
-    n: int
-    k: int
-    defined: bool = True
-
-
-def _undefined(n: int, k: int) -> IndexValue:
-    return IndexValue(value=math.nan, n=n, k=k, defined=False)
+def check_families(families, lam: float) -> tuple[str, ...]:
+    """``families`` as a tuple; rejects an empty or unknown family, and lam
+    outside (0, 1) when a forgetting variant is enabled."""
+    families = tuple(families)
+    if not families:
+        raise ValueError("at least one index family must be enabled")
+    for fam in families:
+        if fam not in INDEX_FAMILIES:
+            raise ValueError(f"unknown index family {fam!r}")
+    if any(fam.endswith("_lambda") for fam in families) and not (0.0 < lam < 1.0):
+        raise ValueError("forgetting variants need lam in (0, 1)")
+    return families
 
 
 @dataclass(frozen=True)
@@ -92,15 +94,8 @@ class IndexSet:
     def start(cls, families, k: int, p: int, lam: float = 1.0,
               n0: int = 0, M0: float = 0.0) -> "IndexSet":
         """Fresh state after ``n0`` warm-up points, each cluster holding mass M0."""
-        families = tuple(families)
-        if not families:
-            raise ValueError("at least one index family must be enabled")
-        for fam in families:
-            if fam not in INDEX_FAMILIES:
-                raise ValueError(f"unknown index family {fam!r}")
+        families = check_families(families, lam)
         forgetting = any(fam.endswith("_lambda") for fam in families)
-        if forgetting and not (0.0 < lam < 1.0):
-            raise ValueError("forgetting variants need lam in (0, 1)")
         plain = any(not fam.endswith("_lambda") for fam in families)
         lams = tuple(f for f, used in ((1.0, plain), (lam, forgetting)) if used)
         readout = _Readout(
@@ -118,10 +113,11 @@ class IndexSet:
         return 2 + self.accumulators.float_count()  # + h, n
 
     def step(self, V_old: PrototypeSet, V_new: PrototypeSet, u: MembershipVector,
-             x: np.ndarray) -> tuple["IndexSet", dict[str, IndexValue]]:
+             x: np.ndarray) -> tuple["IndexSet", dict[str, float | None]]:
         """Advance by one clustering step; returns the new state and each
-        family's value. Clusters born this step (V_new.k above the current k)
-        get empty accumulators first; ``x`` must be a finite (p,) array."""
+        family's value, None where undefined. Clusters born this step
+        (V_new.k above the current k) get empty accumulators first; ``x``
+        must be a finite (p,) array."""
         k = V_new.k
         acc = update_dispersion(grow(self.accumulators, k), V_old.centers, V_new.centers,
                                 u.u, x)
@@ -154,5 +150,5 @@ class IndexSet:
             else:
                 value = math.nan if db is None else db[row]
             # Overflow in the accumulators reads out as inf or nan: undefined.
-            values[fam] = IndexValue(value, n, k) if math.isfinite(value) else _undefined(n, k)
+            values[fam] = value if math.isfinite(value) else None
         return IndexSet(self.families, acc, h, n, ro), values

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import as_vector
-from .cvi import INDEX_FAMILIES, IndexSet
+from .cvi import INDEX_FAMILIES, IndexSet, check_families
 from .oec import OecConfig, oec_init, oec_step
 from .skmeans import skmeans_init, skmeans_step
 from .stream_io import EventRecord, TraceRecord
@@ -33,13 +33,7 @@ class RunConfig:
     def __post_init__(self):
         if self.algorithm not in ("skmeans", "oec"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if not self.indices:
-            raise ValueError("at least one index must be enabled")
-        for fam in self.indices:
-            if fam not in INDEX_FAMILIES:
-                raise ValueError(f"unknown index family {fam!r}")
-        if any(f.endswith("_lambda") for f in self.indices) and not (0.0 < self.lam < 1.0):
-            raise ValueError("forgetting variants need lam in (0, 1)")
+        check_families(self.indices, self.lam)
         if self.icvi_init not in ("paper", "zeros"):
             raise ValueError(f"unknown init mode {self.icvi_init!r}")
         if self.algorithm == "skmeans" and self.k < 1:
@@ -60,19 +54,6 @@ class ClustererError(ValueError):
         super().__init__(f"{algorithm} clusterer failed at n={n}: {cause}")
         self.algorithm = algorithm
         self.n = n
-
-
-def init_icvi_state(
-    mode: str, n_warmup: int, k: int, p: int,
-    indices=INDEX_FAMILIES, lam: float = 0.9,
-) -> IndexSet:
-    """Fresh index state at the start of evaluation.
-
-    "paper" mode seeds every cluster's membership-mass accumulator with the
-    warm-up count; "zeros" starts all accumulators at zero.
-    """
-    M0 = float(n_warmup) if mode == "paper" else 0.0
-    return IndexSet.start(indices, k, p, lam=lam, n0=n_warmup, M0=M0)
 
 
 class StreamEngine:
@@ -115,8 +96,11 @@ class StreamEngine:
                     k0 = 1
             except _CLUSTERER_FAILURES as exc:
                 raise ClustererError(cfg.algorithm, self._n, exc) from exc
-            self._indices = init_icvi_state(
-                cfg.icvi_init, self._n, k0, p, cfg.indices, cfg.lam
+            # "paper" seeds every cluster's membership mass with the warm-up
+            # count; "zeros" starts all accumulators empty.
+            self._indices = IndexSet.start(
+                cfg.indices, k0, p, lam=cfg.lam, n0=self._n,
+                M0=float(self._n) if cfg.icvi_init == "paper" else 0.0,
             )
             self._buffer = []
             return None
@@ -135,19 +119,15 @@ class StreamEngine:
         for kind, detail in step_events:
             self.events.append(EventRecord(n=self._n, kind=kind, detail=detail))
 
-        self._indices, step_values = self._indices.step(V_old, V_new, u, x)
+        self._indices, values = self._indices.step(V_old, V_new, u, x)
         clamped = self._indices.accumulators.clamped
         if clamped:
             self.events.append(EventRecord(
                 n=self._n, kind="dispersion_clamped",
                 detail="lam=" + ",".join(repr(f) for f in clamped),
             ))
-        values: dict[str, float | None] = {}
-        for fam, val in step_values.items():
-            if val.defined:
-                values[fam] = val.value
-            else:
-                values[fam] = None
+        for fam, value in values.items():
+            if value is None:
                 self.events.append(
                     EventRecord(n=self._n, kind="index_undefined", detail=fam)
                 )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,15 @@ def skmeans_step(state: SkMeansState, x_new):
     incremental index update. States are immutable values, so the snapshots
     share their arrays with the old and new state.
     """
-    x = as_vector(x_new, state.p)
+    x = np.asarray(x_new, dtype=float)
+    if x.shape != (state.p,):
+        raise ValueError(f"expected a ({state.p},) vector, got shape {x.shape}")
     d2 = np.sum((state.V - x) ** 2, axis=1)
+    # The largest distance is finite only if all k are (max propagates nan),
+    # so this also rejects a non-finite x. An overflowed distance would
+    # otherwise tie at inf and send the point to cluster 0.
+    if not math.isfinite(float(np.maximum.reduce(d2))):
+        raise ValueError("squared distances to the prototypes are not finite")
     m = int(np.argmin(d2))  # argmin takes the first minimum: lowest index wins
     counts = state.counts.copy()
     counts[m] += 1

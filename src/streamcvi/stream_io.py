@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .core import StreamPoint
 from .cvi import INDEX_FAMILIES
 
@@ -60,6 +58,10 @@ def read_stream(path, schema: StreamSchema = StreamSchema()):
         raise IngestionError(f"stream file not found: {path}")
     points: list[StreamPoint] = []
     labels: list[int] | None = [] if schema.label_column is not None else None
+    needed = max(
+        max(schema.feature_columns),
+        -1 if schema.label_column is None else schema.label_column,
+    )
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for row_no, row in enumerate(reader, start=1):
@@ -67,19 +69,13 @@ def read_stream(path, schema: StreamSchema = StreamSchema()):
                 continue
             if not row:
                 continue
-            needed = max(
-                max(schema.feature_columns),
-                -1 if schema.label_column is None else schema.label_column,
-            )
             if len(row) <= needed:
                 raise IngestionError(f"row {row_no}: expected at least {needed + 1} columns")
-            try:
-                x = np.array([float(row[c]) for c in schema.feature_columns])
+            try:  # float() rejects a non-numeric cell, StreamPoint a non-finite one
+                points.append(StreamPoint(
+                    n=len(points) + 1, x=[float(row[c]) for c in schema.feature_columns]))
             except ValueError as exc:
-                raise IngestionError(f"row {row_no}: non-numeric feature cell ({exc})") from None
-            if not np.all(np.isfinite(x)):
-                raise IngestionError(f"row {row_no}: non-finite feature value")
-            points.append(StreamPoint(n=len(points) + 1, x=x))
+                raise IngestionError(f"row {row_no}: bad feature value ({exc})") from None
             if labels is not None:
                 try:
                     labels.append(int(float(row[schema.label_column])))

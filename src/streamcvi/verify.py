@@ -4,12 +4,15 @@ Each trial builds a random stream (fuzzy Dirichlet memberships, centers on a
 random walk), advances the same IndexSet the engine uses step by step, and at
 every step recomputes each index from the stored history by direct summation
 of the batch formulas. The direct summation is vectorized but never reuses any
-incremental accumulator, so the two routes stay independent. The batch_*
-functions are the package's only batch oracles.
+incremental accumulator, so the two routes stay independent. Every step is
+compared, undefined values included: a value only one side calls undefined
+is an infinite error. batch_accumulators and index_value are the package's
+only batch oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,38 +45,35 @@ def batch_accumulators(X, U, V, lam=1.0):
     return C, M
 
 
-def batch_xb(X, U, V):
-    C, _ = batch_accumulators(X, U, V, lam=1.0)
-    h = min_pairwise_center_distance_sq(PrototypeSet(V))
-    return float(np.sum(C)) / (X.shape[0] * h)
+def index_value(fam, C, M, V, n, lam=1.0, h=None):
+    """Index ``fam`` read directly from per-cluster C and M (as
+    batch_accumulators gives them, at lam for a forgetting variant), the
+    (k, p) centers V and the point count n; None where IndexSet.step calls
+    it undefined: coincident centers, k < 2 for DB, or a non-finite value.
 
-
-def batch_xb_lambda(X, U, V, lam):
-    C, _ = batch_accumulators(X, U, V, lam=lam)
-    h = min_pairwise_center_distance_sq(PrototypeSet(V))
-    return (1.0 - lam) * float(np.sum(C)) / h
-
-
-def _db_from_L(L, V):
+    With k >= 2, XB's separation h is the minimum squared center gap; with
+    k == 1 the caller passes it (the running max of ||v_1 - x||^2).
+    """
     k = V.shape[0]
-    if k < 2:
-        raise ValueError("DB needs at least two clusters")
-    d2 = pairwise_sq_distances(V)
-    off = ~np.eye(k, dtype=bool)
-    ratios = (L[:, None] + L[None, :]) / np.where(off, d2, np.inf)
-    return float(np.mean(np.max(np.where(off, ratios, -np.inf), axis=1)))
-
-
-def batch_db(X, U, V):
-    C, M = batch_accumulators(X, U, V, lam=1.0)
-    L = np.where(M > 0.0, C / np.where(M > 0.0, M, 1.0), 0.0)
-    return _db_from_L(L, V)
-
-
-def batch_db_lambda(X, U, V, lam):
-    C, M = batch_accumulators(X, U, V, lam=lam)
-    L = C / np.maximum(1.0, M)
-    return _db_from_L(L, V)
+    if k >= 2:
+        h = min_pairwise_center_distance_sq(PrototypeSet(V))
+    elif fam.startswith("db"):
+        return None
+    if h is None or h <= 0.0:
+        return None
+    forgetting = fam.endswith("_lambda")
+    if fam.startswith("xb"):
+        J = float(np.sum(C))
+        value = (1.0 - lam) * J / h if forgetting else J / (n * h)
+    else:
+        if forgetting:
+            L = C / np.maximum(1.0, M)
+        else:  # a cluster with no mass yet has L = 0
+            L = np.where(M > 0.0, C / np.where(M > 0.0, M, 1.0), 0.0)
+        off = ~np.eye(k, dtype=bool)
+        ratios = (L[:, None] + L[None, :]) / np.where(off, pairwise_sq_distances(V), np.inf)
+        value = float(np.mean(np.max(np.where(off, ratios, -np.inf), axis=1)))
+    return value if math.isfinite(value) else None
 
 
 def random_stream(rng, n, k, p, center_step=0.05, empty_cluster=False):
@@ -109,7 +109,10 @@ class TrialReport:
         return all(e <= REL_TOL for e in self.max_rel_err.values())
 
 
-def _rel(a: float, b: float) -> float:
+def _rel(a: float | None, b: float | None) -> float:
+    """Relative error of a against b; inf when exactly one is undefined."""
+    if a is None or b is None:
+        return 0.0 if a is b else math.inf
     return abs(a - b) / max(abs(b), 1e-300)
 
 
@@ -128,21 +131,15 @@ def run_trial(seed: int, n=None, k=None, p=None, lam=None, empty_cluster=False) 
         report.max_rel_err[fam] = 0.0
         report.worst_step[fam] = 0
 
-    oracles = {
-        "xb": lambda t: batch_xb(X[:t], U[:t], Vs[t]),
-        "db": lambda t: batch_db(X[:t], U[:t], Vs[t]),
-        "xb_lambda": lambda t: batch_xb_lambda(X[:t], U[:t], Vs[t], lam),
-        "db_lambda": lambda t: batch_db_lambda(X[:t], U[:t], Vs[t], lam),
-    }
     for t in range(1, n + 1):
         V_old = PrototypeSet(Vs[t - 1])
         V_new = PrototypeSet(Vs[t])
         u = MembershipVector(np.clip(U[t - 1], 0.0, 1.0), kind="fuzzy")
         indices, values = indices.step(V_old, V_new, u, X[t - 1])
-        for fam, val in values.items():
-            if not val.defined:
-                continue
-            err = _rel(val.value, oracles[fam](t))
+        for fam, value in values.items():
+            C, M = batch_accumulators(X[:t], U[:t], Vs[t],
+                                      lam if fam.endswith("_lambda") else 1.0)
+            err = _rel(value, index_value(fam, C, M, Vs[t], t, lam))
             if err > report.max_rel_err[fam]:
                 report.max_rel_err[fam] = err
                 report.worst_step[fam] = t
@@ -192,13 +189,10 @@ def k1_xb_trial(seed: int, n=150, p=2) -> float:
             PrototypeSet(Vs[t - 1]), PrototypeSet(Vs[t]),
             MembershipVector(U[t - 1], kind="fuzzy"), X[t - 1],
         )
-        val = values["xb"]
         d = Vs[t][0] - X[t - 1]
         h_ref = max(h_ref, float(d @ d))
-        C, _ = batch_accumulators(X[:t], U[:t], Vs[t])
-        expected = float(np.sum(C)) / (t * h_ref) if h_ref > 0 else None
-        if val.defined and expected is not None:
-            worst = max(worst, _rel(val.value, expected))
+        C, M = batch_accumulators(X[:t], U[:t], Vs[t])
+        worst = max(worst, _rel(values["xb"], index_value("xb", C, M, Vs[t], t, h=h_ref)))
     return worst
 
 

@@ -1,17 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 from streamcvi.core import MembershipVector, PrototypeSet
 from streamcvi.cvi import INDEX_FAMILIES, IndexSet
-from streamcvi.verify import (
-    batch_db,
-    batch_db_lambda,
-    batch_xb,
-    batch_xb_lambda,
-    random_stream,
-)
+from streamcvi.verify import batch_accumulators, index_value, random_stream
 
 
 def update(family, state, V_old, V_new, u, x):
@@ -40,9 +32,16 @@ def drive(family, X, U, Vs, lam=1.0):
 
 
 def hist_arrays(hist):
-    """[(x, u), ...] -> (X, U) arrays for the verify batch oracles."""
+    """[(x, u), ...] -> (X, U) arrays for the verify batch oracle."""
     return (np.array([x for x, _ in hist], dtype=float),
             np.array([u for _, u in hist], dtype=float))
+
+
+def oracle(family, X, U, V, lam=1.0):
+    """The verify oracle's value of ``family`` after the history (X, U)."""
+    X, U, V = (np.asarray(a, dtype=float) for a in (X, U, V))
+    C, M = batch_accumulators(X, U, V, lam if family.endswith("_lambda") else 1.0)
+    return index_value(family, C, M, V, X.shape[0], lam)
 
 
 class TestXbUpdate:
@@ -56,8 +55,8 @@ class TestXbUpdate:
             state, val = update("xb", state, V, V, MembershipVector(u, kind="crisp"), x)
         # J = 4*1 + 1*4 = 8 ... compute expected directly instead
         hist = [([1.0, 0.0], [1.0, 0.0])] * 4 + [([0.0, 0.0], [0.0, 1.0])]
-        assert val.value == pytest.approx(batch_xb(*hist_arrays(hist), V.centers), rel=1e-12)
-        assert val.n == 5 and val.k == 2
+        assert val == pytest.approx(oracle("xb", *hist_arrays(hist), V.centers), rel=1e-12)
+        assert state.n == 5 and state.accumulators.k == 2
 
     def test_k1_running_max(self):
         state = IndexSet.start(("xb",), 1, 2)
@@ -73,19 +72,20 @@ class TestXbUpdate:
         V = PrototypeSet(np.zeros((2, 2)))
         u = MembershipVector([0.5, 0.5], kind="fuzzy")
         state, val = update("xb", state, V, V, u, [1.0, 1.0])
-        assert not val.defined and math.isnan(val.value)
+        assert val is None
+        assert oracle("xb", [[1.0, 1.0]], [u.u], V.centers) is None
         assert state.n == 1  # state still advanced
         V2 = PrototypeSet(np.array([[0.0, 0.0], [3.0, 0.0]]))
         state, val = update("xb", state, V, V2, u, [1.0, 0.0])
-        assert val.defined
+        assert val is not None
 
     def test_matches_batch_at_every_step(self):
         rng = np.random.default_rng(10)
         X, U, Vs = random_stream(rng, 500, 3, 2)
         _, values = drive("xb", X, U, Vs)
         for t in (1, 7, 50, 123, 250, 499, 500):
-            expected = batch_xb(X[:t], U[:t], Vs[t])
-            assert values[t - 1].value == pytest.approx(expected, rel=1e-8)
+            expected = oracle("xb", X[:t], U[:t], Vs[t])
+            assert values[t - 1] == pytest.approx(expected, rel=1e-8)
 
 
 class TestXbLambdaUpdate:
@@ -96,7 +96,7 @@ class TestXbLambdaUpdate:
         u = MembershipVector([1.0, 0.0], kind="crisp")
         state, val = update("xb_lambda", state, V, V, u, [2.0, 0.0])
         # J = 1 * ||(2,0)-(0,0)||^2 = 4, h = 16 -> 0.1 * 4 / 16
-        assert val.value == pytest.approx(0.1 * 4.0 / 16.0)
+        assert val == pytest.approx(0.1 * 4.0 / 16.0)
 
     def test_constant_stream_decays_to_zero(self):
         state = IndexSet.start(("xb_lambda",), 2, 2, lam=0.9)
@@ -105,15 +105,15 @@ class TestXbLambdaUpdate:
         state, first = update("xb_lambda", state, V, V, u, [2.0, 1.0])
         for _ in range(300):
             state, val = update("xb_lambda", state, V, V, u, [1.0, 1.0])
-        assert val.value < 1e-10 * max(first.value, 1.0)
+        assert val < 1e-10 * max(first, 1.0)
 
     def test_matches_batch_at_every_step(self):
         rng = np.random.default_rng(11)
         X, U, Vs = random_stream(rng, 300, 4, 2)
         _, values = drive("xb_lambda", X, U, Vs, lam=0.9)
         for t in (1, 13, 100, 299, 300):
-            expected = batch_xb_lambda(X[:t], U[:t], Vs[t], 0.9)
-            assert values[t - 1].value == pytest.approx(expected, rel=1e-8)
+            expected = oracle("xb_lambda", X[:t], U[:t], Vs[t], 0.9)
+            assert values[t - 1] == pytest.approx(expected, rel=1e-8)
 
 
 class TestDbUpdate:
@@ -124,13 +124,14 @@ class TestDbUpdate:
         # one unit-distance point per cluster: C_i = 1, M_i = 1 -> L_i = 1
         state, _ = update("db", state, V, V, MembershipVector([1, 0], kind="crisp"), [0.0, 1.0])
         state, val = update("db", state, V, V, MembershipVector([0, 1], kind="crisp"), [2.0, 1.0])
-        assert val.value == pytest.approx(0.5)
+        assert val == pytest.approx(0.5)
 
     def test_k1_undefined(self):
         state = IndexSet.start(("db",), 1, 2)
         V = PrototypeSet(np.zeros((1, 2)))
         state, val = update("db", state, V, V, MembershipVector([1.0], kind="crisp"), [1.0, 0.0])
-        assert not val.defined
+        assert val is None
+        assert oracle("db", [[1.0, 0.0]], [[1.0]], V.centers) is None
         assert state.n == 1
 
     def test_empty_cluster_contributes_L_zero(self):
@@ -142,15 +143,15 @@ class TestDbUpdate:
         # Hand-expanded: L = (1, 1, 0); pairwise d2: 01->4, 02->100, 12->104
         # term i=0: max(2/4, 1/100) = 0.5; i=1: max(2/4, 1/104) = 0.5
         # i=2: max(1/100, 1/104) = 0.01
-        assert val.value == pytest.approx((0.5 + 0.5 + 0.01) / 3.0)
+        assert val == pytest.approx((0.5 + 0.5 + 0.01) / 3.0)
 
     def test_matches_batch_at_every_step(self):
         rng = np.random.default_rng(12)
         X, U, Vs = random_stream(rng, 500, 3, 2)
         _, values = drive("db", X, U, Vs)
         for t in (1, 9, 77, 250, 500):
-            expected = batch_db(X[:t], U[:t], Vs[t])
-            assert values[t - 1].value == pytest.approx(expected, rel=1e-8)
+            expected = oracle("db", X[:t], U[:t], Vs[t])
+            assert values[t - 1] == pytest.approx(expected, rel=1e-8)
 
 
 class TestDbLambdaUpdate:
@@ -164,15 +165,15 @@ class TestDbLambdaUpdate:
         M = np.array([0.36, 0.16])
         L = C / np.maximum(1.0, M)  # clamp active for both
         expected = 0.5 * ((L[0] + L[1]) / 16.0 + (L[1] + L[0]) / 16.0)
-        assert val.value == pytest.approx(expected, rel=1e-12)
+        assert val == pytest.approx(expected, rel=1e-12)
 
     def test_matches_batch_at_every_step(self):
         rng = np.random.default_rng(13)
         X, U, Vs = random_stream(rng, 300, 4, 3)
         _, values = drive("db_lambda", X, U, Vs, lam=0.5)
         for t in (1, 20, 150, 300):
-            expected = batch_db_lambda(X[:t], U[:t], Vs[t], 0.5)
-            assert values[t - 1].value == pytest.approx(expected, rel=1e-8)
+            expected = oracle("db_lambda", X[:t], U[:t], Vs[t], 0.5)
+            assert values[t - 1] == pytest.approx(expected, rel=1e-8)
 
 
 class TestBatchOracles:
@@ -181,22 +182,21 @@ class TestBatchOracles:
         V = PrototypeSet(np.array([[0.0, 0.0], [100.0, 0.0]]))
         hist = [([-1.0, 0.0], [1.0, 0.0]), ([1.0, 0.0], [1.0, 0.0])]
         # numerator = u^2-weighted within-SSE = 2; h = 10000; n = 2
-        assert batch_xb(*hist_arrays(hist), V.centers) == pytest.approx(2.0 / (2 * 10000.0))
+        assert oracle("xb", *hist_arrays(hist), V.centers) == pytest.approx(2.0 / (2 * 10000.0))
 
     def test_symmetric_db_half(self):
         V = PrototypeSet(np.array([[0.0, 0.0], [2.0, 0.0]]))
         hist = [([0.0, 1.0], [1.0, 0.0]), ([2.0, 1.0], [0.0, 1.0])]
-        assert batch_db(*hist_arrays(hist), V.centers) == pytest.approx(0.5)
+        assert oracle("db", *hist_arrays(hist), V.centers) == pytest.approx(0.5)
 
     def test_db_requires_two_clusters(self):
-        with pytest.raises(ValueError):
-            batch_db(np.zeros((1, 1)), np.ones((1, 1)), np.zeros((1, 1)))
+        assert oracle("db", np.zeros((1, 1)), np.ones((1, 1)), np.zeros((1, 1))) is None
 
     def test_empty_history_rejected(self):
         V = np.array([[0.0], [1.0]])
-        for oracle in (batch_xb, batch_db):
+        for family in ("xb", "db"):
             with pytest.raises(ValueError):
-                oracle(np.zeros((0, 1)), np.zeros((0, 2)), V)
+                oracle(family, np.zeros((0, 1)), np.zeros((0, 2)), V)
 
 
 class TestIndexProperties:
@@ -208,22 +208,24 @@ class TestIndexProperties:
             _, base = drive(fam, X, U, Vs, lam=lam)
             _, scaled = drive(fam, s * X, U, s * Vs, lam=lam)
             for a, b in zip(base, scaled):
-                if a.defined:
-                    assert b.value == pytest.approx(a.value, rel=1e-9)
+                if a is not None:
+                    assert b == pytest.approx(a, rel=1e-9)
 
     def test_nonnegative_when_defined(self):
         rng = np.random.default_rng(15)
         X, U, Vs = random_stream(rng, 200, 4, 2)
         for fam, lam in (("xb", 1.0), ("db", 1.0), ("xb_lambda", 0.9), ("db_lambda", 0.9)):
             _, values = drive(fam, X, U, Vs, lam=lam)
-            assert all(v.value >= 0.0 for v in values if v.defined)
+            assert all(v >= 0.0 for v in values if v is not None)
 
     def test_n_increments_by_one(self):
         rng = np.random.default_rng(16)
         X, U, Vs = random_stream(rng, 50, 2, 2)
-        state, values = drive("xb", X, U, Vs)
-        assert [v.n for v in values] == list(range(1, 51))
-        assert state.n == 50
+        state = IndexSet.start(("xb",), 2, 2)
+        for t in range(1, 51):
+            u = MembershipVector(U[t - 1], kind="fuzzy")
+            state, _ = state.step(PrototypeSet(Vs[t - 1]), PrototypeSet(Vs[t]), u, X[t - 1])
+            assert state.n == t
 
 
 class TestIndexSet:
@@ -271,7 +273,7 @@ class TestIndexSet:
         assert np.array_equal(acc.M, [[3.0 + 1.0 + 1.0, 0.0],
                                       [(0.9 * 3.0 + 1.0) * 0.9 + 1.0, 0.0]])
         assert np.array_equal(acc.C[0], [2.0, 0.0])
-        assert values["xb"].value == pytest.approx(2.0 / (5 * 25.0))
-        assert values["db_lambda"].defined
+        assert values["xb"] == pytest.approx(2.0 / (5 * 25.0))
+        assert values["db_lambda"] is not None
         with pytest.raises(ValueError):  # clusters never disappear
             state.step(V1, V1, MembershipVector([1.0], kind="crisp"), np.zeros(2))

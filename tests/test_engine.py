@@ -7,9 +7,10 @@ import pytest
 from streamcvi.cvi import INDEX_FAMILIES
 from streamcvi.datagen import gen_s1, gen_s2, gen_s3
 from streamcvi.dispersion import Accumulators
-from streamcvi.engine import ClustererError, RunConfig, StreamEngine, init_icvi_state, run
+from streamcvi.engine import ClustererError, RunConfig, StreamEngine, run
 from streamcvi.oec import oec_init, oec_step
 from streamcvi.skmeans import skmeans_init, skmeans_step
+from streamcvi.verify import batch_accumulators, index_value
 
 
 def gaussian_pair(seed, n=400):
@@ -60,36 +61,22 @@ def direct_value(fam, X, replayed, t, config):
 
     "paper" warm-up seeding gives each initial cluster the warm-up count as
     membership mass at its starting center: a phantom point of mass
-    n0 * lam**t there.
+    n0 * lam**t there. While k == 1, XB divides by the running max of
+    ||v_1 - x||^2.
     """
     n0, V0, U, Vs = replayed
     V = Vs[t - 1]
     k = V.shape[0]
     lam = config.lam if fam.endswith("_lambda") else 1.0
-    w = lam ** np.arange(t - 1, -1, -1, dtype=float)[:, None]
-    U2 = U[:t, :k] ** 2
-    d2 = np.sum((X[n0:n0 + t, None, :] - V[None, :, :]) ** 2, axis=2)
-    C = np.sum(w * U2 * d2, axis=0)
-    M = np.sum(w * U2, axis=0)
+    C, M = batch_accumulators(X[n0:n0 + t], U[:t, :k], V, lam)
     if config.icvi_init == "paper":
         k0 = V0.shape[0]
         C[:k0] += n0 * lam ** t * np.sum((V0 - V[:k0]) ** 2, axis=1)
         M[:k0] += n0 * lam ** t
-    gaps = np.sum((V[:, None, :] - V[None, :, :]) ** 2, axis=2) + np.diag(np.full(k, np.inf))
-    if fam.startswith("xb"):
-        if k >= 2:
-            h = float(np.min(gaps))
-        else:  # k has been 1 throughout: running max of ||v_1 - x||^2
-            h = max(float(np.sum((Vs[s][0] - X[n0 + s]) ** 2)) for s in range(t))
-        if h <= 0.0:
-            return None
-        J = float(np.sum(C))
-        return J / ((n0 + t) * h) if lam == 1.0 else (1.0 - lam) * J / h
-    if k < 2 or np.min(gaps) <= 0.0:
-        return None
-    L = np.where(M > 0.0, C / np.where(M > 0.0, M, 1.0), 0.0) if lam == 1.0 \
-        else C / np.maximum(1.0, M)
-    return float(np.mean(np.max((L[:, None] + L[None, :]) / gaps, axis=1)))
+    h = None
+    if k == 1:  # k has been 1 throughout
+        h = max(float(np.sum((Vs[s][0] - X[n0 + s]) ** 2)) for s in range(t))
+    return index_value(fam, C, M, V, n0 + t, config.lam, h)
 
 
 def assert_matches_direct(trace, X, config, steps):
@@ -133,17 +120,25 @@ class TestRunConfig:
 
 
 class TestInitModes:
+    def warmed_up(self, mode):
+        """The engine's index state right after OEC's warm-up: p + 1 = 4
+        points in 3-d, one cluster."""
+        engine = StreamEngine(RunConfig(algorithm="oec", icvi_init=mode))
+        for x in np.random.default_rng(8).normal(size=(4, 3)):
+            engine.push(x)
+        return engine._indices
+
     def test_paper_mode_seeds_mass_with_warmup_count(self):
-        state = init_icvi_state("paper", 7, 2, 3)
-        assert state.n == 7
+        state = self.warmed_up("paper")
+        assert state.n == 4
         assert state.accumulators.lam == (1.0, 0.9)
-        assert np.array_equal(state.accumulators.M, [[7.0, 7.0], [7.0, 7.0]])
+        assert np.array_equal(state.accumulators.M, [[4.0], [4.0]])
 
     def test_zeros_mode_starts_empty(self):
-        state = init_icvi_state("zeros", 7, 2, 3)
-        assert state.n == 7
+        state = self.warmed_up("zeros")
+        assert state.n == 4
         assert state.accumulators.lam == (1.0, 0.9)
-        assert np.array_equal(state.accumulators.M, np.zeros((2, 2)))
+        assert np.array_equal(state.accumulators.M, np.zeros((2, 1)))
 
     def test_modes_converge_on_stationary_stream(self):
         # the warm-up offset washes out: after 500 evaluated points the two
@@ -229,9 +224,10 @@ class TestTraceSemantics:
         assert all(r.label is None for r in trace)
 
     def test_non_finite_values_are_flagged_undefined(self):
-        # squared distances of 1e200-scaled points overflow; every read-out
-        # that comes out inf or nan must be None and logged as an event
-        X = gen_s3(0).X() * 1e200
+        # at this scale every squared distance is finite but the index
+        # accumulators and read-outs overflow; every read-out that comes out
+        # inf or nan must be None and logged as an event
+        X = gen_s3(0).X() * 1e151
         with np.errstate(over="ignore", invalid="ignore"):
             trace, events = run(X, RunConfig(algorithm="skmeans", k=2))
         values = [v for r in trace for v in r.values.values()]
@@ -251,6 +247,15 @@ class TestTraceSemantics:
                     engine.push(x)
         assert info.value.n == 4 and info.value.algorithm == "oec"
         assert isinstance(info.value, ValueError)
+
+    def test_skmeans_failure_names_n_and_algorithm(self):
+        # every squared distance to the prototypes overflows at the first
+        # step; argmin over all-inf distances would silently pick cluster 0
+        X = gen_s3(0).X() * 1e200
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ClustererError, match=r"skmeans .*n=3") as info:
+                run(X, RunConfig(k=2))
+        assert info.value.n == 3 and info.value.algorithm == "skmeans"
 
     def test_dispersion_clamp_is_logged_once(self):
         # a hand-built index state whose lam row goes negative on the next
