@@ -6,12 +6,7 @@ pass over a stream, driven by sequential k-means or a simplified online
 ellipsoidal clusterer.
 """
 
-from .core import (
-    MembershipVector,
-    PrototypeSet,
-    StreamPoint,
-    min_pairwise_center_distance_sq,
-)
+from .core import MembershipVector, PrototypeSet, StreamPoint
 from .cvi import INDEX_FAMILIES, IndexSet
 from .dispersion import Accumulators, new_accumulators, update_dispersion
 from .engine import RunConfig, StreamEngine, run

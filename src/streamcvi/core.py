@@ -1,10 +1,9 @@
-"""Shared domain types: stream points, membership vectors, prototype sets."""
+"""Shared domain types: stream points and the records a clusterer step returns."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,50 +44,16 @@ class StreamPoint:
 
 @dataclass(frozen=True)
 class MembershipVector:
-    """Per-sample assignment over k clusters, crisp (one-hot) or fuzzy."""
+    """A step's (k,) memberships over k clusters, as a clusterer step returns them."""
 
     u: np.ndarray
-    kind: str = "fuzzy"  # "crisp" | "fuzzy"
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", as_vector(self.u))
-        if self.kind not in ("crisp", "fuzzy"):
-            raise ValueError(f"unknown membership kind {self.kind!r}")
-
-    @property
-    def k(self) -> int:
-        return self.u.shape[0]
 
 
 @dataclass(frozen=True)
 class PrototypeSet:
-    """Ordered cluster centers as a (k, p) array."""
+    """A step's (k, p) cluster centers, as a clusterer step returns them."""
 
-    centers: np.ndarray = field()
-
-    def __post_init__(self):
-        V = np.asarray(self.centers, dtype=float)
-        if V.ndim != 2 or V.shape[0] < 1:
-            raise ValueError(f"expected a (k, p) array with k >= 1, got shape {V.shape}")
-        if not _all_finite(V):
-            raise ValueError("centers have non-finite coordinates")
-        object.__setattr__(self, "centers", V)
-
-    @property
-    def k(self) -> int:
-        return self.centers.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.centers.shape[1]
-
-    def __getitem__(self, i) -> np.ndarray:
-        return self.centers[i]
-
-
-@lru_cache(maxsize=128)
-def _upper_triangle(k: int):
-    return np.triu_indices(k, k=1)
+    centers: np.ndarray
 
 
 def pairwise_sq_distances(C: np.ndarray) -> np.ndarray:
@@ -96,9 +61,3 @@ def pairwise_sq_distances(C: np.ndarray) -> np.ndarray:
     diff = C[:, None, :] - C[None, :, :]
     return np.einsum("ijk,ijk->ij", diff, diff)
 
-
-def min_pairwise_center_distance_sq(V: PrototypeSet) -> float:
-    """Minimum squared Euclidean distance over unordered pairs of centers."""
-    if V.k < 2:
-        raise ValueError("need at least two centers for a pairwise distance")
-    return float(np.min(pairwise_sq_distances(V.centers)[_upper_triangle(V.k)]))

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import MembershipVector, PrototypeSet, pairwise_sq_distances
+from .core import pairwise_sq_distances
 from .dispersion import Accumulators, grow, new_accumulators, per_row, update_dispersion
 
 log = logging.getLogger(__name__)
@@ -112,20 +112,20 @@ class IndexSet:
     def float_count(self) -> int:
         return 2 + self.accumulators.float_count()  # + h, n
 
-    def step(self, V_old: PrototypeSet, V_new: PrototypeSet, u: MembershipVector,
+    def step(self, V_old: np.ndarray, V_new: np.ndarray, u: np.ndarray,
              x: np.ndarray) -> tuple["IndexSet", dict[str, float | None]]:
-        """Advance by one clustering step; returns the new state and each
-        family's value, None where undefined. Clusters born this step
-        (V_new.k above the current k) get empty accumulators first; ``x``
-        must be a finite (p,) array."""
-        k = V_new.k
-        acc = update_dispersion(grow(self.accumulators, k), V_old.centers, V_new.centers,
-                                u.u, x)
+        """Advance by one clustering step from the (k, p) centers before and
+        after it, the (k,) memberships and the (p,) point; returns the new
+        state and each family's value, None where undefined. Clusters born
+        this step (k above the current count) get empty accumulators first.
+        Every array must be finite; nothing here re-checks them."""
+        k = V_new.shape[0]
+        acc = update_dispersion(grow(self.accumulators, k), V_old, V_new, u, x)
         n = self.n + 1
         ro = self.readout
         db = None
         if k >= 2:
-            gaps = pairwise_sq_distances(V_new.centers) + _inf_diagonal(k)
+            gaps = pairwise_sq_distances(V_new) + _inf_diagonal(k)
             h = float(np.minimum.reduce(gaps, axis=None))
             if h <= 0.0:
                 log.debug("XB and DB undefined at n=%d: coincident centers", n)

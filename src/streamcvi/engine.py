@@ -9,6 +9,7 @@ evaluated point plus an event log.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,9 +41,10 @@ class RunConfig:
             raise ValueError("k must be positive")
 
 
-# What a clusterer raises when it cannot process a point: a non-finite
-# membership or center, a singular covariance (numpy's LinAlgError is a
-# ValueError), or a Mahalanobis distance that lost definiteness.
+# What a clusterer step raises when it cannot process a point: a non-finite
+# distance, a singular covariance (numpy's LinAlgError is a ValueError), or a
+# Mahalanobis distance that lost definiteness. push raises a ValueError itself
+# when a step returns a non-finite membership or center.
 _CLUSTERER_FAILURES = (ValueError, RuntimeError)
 
 
@@ -113,6 +115,10 @@ class StreamEngine:
                 self._cluster_state, u, V_old, V_new, step_events = oec_step(
                     self._cluster_state, x, cfg.oec
                 )
+            u, V_old, V_new = u.u, V_old.centers, V_new.centers
+            # A non-finite entry always poisons the sum (inf - inf gives nan).
+            if not math.isfinite(float(u.sum() + V_new.sum())):
+                raise ValueError("memberships or centers are not finite")
         except _CLUSTERER_FAILURES as exc:
             raise ClustererError(cfg.algorithm, self._n, exc) from exc
 
@@ -131,8 +137,8 @@ class StreamEngine:
                 self.events.append(
                     EventRecord(n=self._n, kind="index_undefined", detail=fam)
                 )
-        label = int(np.argmax(u.u)) if cfg.emit_labels else None
-        record = TraceRecord(n=self._n, k=V_new.k, values=values, label=label)
+        label = int(np.argmax(u)) if cfg.emit_labels else None
+        record = TraceRecord(n=self._n, k=V_new.shape[0], values=values, label=label)
         self.trace.append(record)
         return record
 

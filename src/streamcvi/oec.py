@@ -26,7 +26,6 @@ class OecConfig:
     gamma_out: float = 0.999
     n_s: int = 20
     lambda_oec: float = 0.9
-    harden: bool = False  # report one-hot memberships instead of fuzzy ones
 
     def __post_init__(self):
         if not (0.0 < self.gamma_out < 1.0):
@@ -59,20 +58,18 @@ def mahalanobis_sq(x: np.ndarray, m: np.ndarray, S_inv: np.ndarray) -> np.ndarra
     return F
 
 
-def _membership_from_distances(F: np.ndarray) -> MembershipVector:
-    k = F.shape[0]
-    u = np.zeros(k)
+def _membership_from_distances(F: np.ndarray) -> np.ndarray:
     zero = np.flatnonzero(F == 0.0)
     if zero.size > 0:
+        u = np.zeros(F.shape[0])
         u[zero[0]] = 1.0
-        return MembershipVector(u, kind="fuzzy")
+        return u
     # u_i = [sum_j (F_i / F_j)^2]^-1, computed via inverse squares for stability
     inv2 = 1.0 / (F * F)
-    u = inv2 / np.sum(inv2)
-    return MembershipVector(u, kind="fuzzy")
+    return inv2 / np.sum(inv2)
 
 
-def oec_membership(x, m: np.ndarray, S_inv: np.ndarray) -> MembershipVector:
+def oec_membership(x, m: np.ndarray, S_inv: np.ndarray) -> np.ndarray:
     """Fuzzy k-means memberships over squared Mahalanobis distances (fuzzifier m=2).
 
     A zero distance yields a one-hot vector at the lowest zero-distance index.
@@ -178,17 +175,14 @@ def oec_step(state: OecState, x_new, config: OecConfig):
     step, u is zero-padded for it and its V_old row equals its V_new row, so
     index states see no spurious center motion for the newborn.
     """
-    x = as_vector(x_new, state.p)
+    x = np.asarray(x_new, dtype=float)
+    if x.shape != (state.p,):
+        raise ValueError(f"expected a ({state.p},) vector, got shape {x.shape}")
     events: list[tuple[str, str]] = []
 
     F = mahalanobis_sq(x, state.m, state.S_inv)
     u = _membership_from_distances(F)
-    u_rep = u
-    winner = int(np.argmax(u.u))
-    if config.harden:
-        hard = np.zeros(u.k)
-        hard[winner] = 1.0
-        u_rep = MembershipVector(hard, kind="crisp")
+    winner = int(np.argmax(u))
 
     # The outlier boundary shields a stabilized prototype from points far
     # outside it; such points only feed the forgetful prototype.
@@ -199,13 +193,13 @@ def oec_step(state: OecState, x_new, config: OecConfig):
         count[winner] += 1
 
     m, cov, S_inv, W = state.m, state.cov, state.S_inv, state.W
-    rows = np.flatnonzero(~shielded & (u.u > 0.0))
+    rows = np.flatnonzero(~shielded & (u > 0.0))
     if rows.size:
         m, cov, S_inv, W = m.copy(), cov.copy(), S_inv.copy(), W.copy()
     for i in rows:
         # Membership-weighted recursive mean/covariance update; the scatter
         # sum is implied by the stored covariance.
-        ui = u.u[i]
+        ui = u[i]
         W_new = W[i] + ui
         d = x - m[i]
         m[i] = m[i] + (ui / W_new) * d
@@ -241,9 +235,9 @@ def oec_step(state: OecState, x_new, config: OecConfig):
         m=m, cov=cov, S_inv=S_inv, count=count, W=W,
         forget=forget, outside_streak=streak, chi2_out=state.chi2_out,
     )
-    V_old = state.centers()
+    V_old = state.m
     if created:
         # Newborn's "old" center equals its new center; membership padded with 0.
-        V_old = PrototypeSet(np.vstack([V_old.centers, m[-1:]]))
-        u_rep = MembershipVector(np.append(u_rep.u, 0.0), kind=u_rep.kind)
-    return new_state, u_rep, V_old, new_state.centers(), events
+        V_old = np.vstack([V_old, m[-1:]])
+        u = np.append(u, 0.0)
+    return new_state, MembershipVector(u), PrototypeSet(V_old), new_state.centers(), events

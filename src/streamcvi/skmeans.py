@@ -64,4 +64,4 @@ def skmeans_step(state: SkMeansState, x_new):
     u = np.zeros(state.k)
     u[m] = 1.0
     new_state = SkMeansState(V=V, counts=counts)
-    return new_state, MembershipVector(u, kind="crisp"), PrototypeSet(state.V), PrototypeSet(V)
+    return new_state, MembershipVector(u), PrototypeSet(state.V), PrototypeSet(V)

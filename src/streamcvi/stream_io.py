@@ -45,7 +45,6 @@ class StreamSchema:
 
     feature_columns: tuple[int, ...] = (0, 1)
     label_column: int | None = None
-    has_header: bool = False
 
 
 def read_stream(path, schema: StreamSchema = StreamSchema()):
@@ -65,8 +64,6 @@ def read_stream(path, schema: StreamSchema = StreamSchema()):
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         for row_no, row in enumerate(reader, start=1):
-            if schema.has_header and row_no == 1:
-                continue
             if not row:
                 continue
             if len(row) <= needed:

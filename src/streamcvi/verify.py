@@ -17,12 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    MembershipVector,
-    PrototypeSet,
-    min_pairwise_center_distance_sq,
-    pairwise_sq_distances,
-)
+from .core import pairwise_sq_distances
 from .cvi import IndexSet
 from .dispersion import new_accumulators, update_dispersion
 
@@ -55,8 +50,10 @@ def index_value(fam, C, M, V, n, lam=1.0, h=None):
     k == 1 the caller passes it (the running max of ||v_1 - x||^2).
     """
     k = V.shape[0]
+    off = ~np.eye(k, dtype=bool)
+    D = pairwise_sq_distances(V)
     if k >= 2:
-        h = min_pairwise_center_distance_sq(PrototypeSet(V))
+        h = float(np.min(D[off]))
     elif fam.startswith("db"):
         return None
     if h is None or h <= 0.0:
@@ -70,8 +67,7 @@ def index_value(fam, C, M, V, n, lam=1.0, h=None):
             L = C / np.maximum(1.0, M)
         else:  # a cluster with no mass yet has L = 0
             L = np.where(M > 0.0, C / np.where(M > 0.0, M, 1.0), 0.0)
-        off = ~np.eye(k, dtype=bool)
-        ratios = (L[:, None] + L[None, :]) / np.where(off, pairwise_sq_distances(V), np.inf)
+        ratios = (L[:, None] + L[None, :]) / np.where(off, D, np.inf)
         value = float(np.mean(np.max(np.where(off, ratios, -np.inf), axis=1)))
     return value if math.isfinite(value) else None
 
@@ -132,10 +128,8 @@ def run_trial(seed: int, n=None, k=None, p=None, lam=None, empty_cluster=False) 
         report.worst_step[fam] = 0
 
     for t in range(1, n + 1):
-        V_old = PrototypeSet(Vs[t - 1])
-        V_new = PrototypeSet(Vs[t])
-        u = MembershipVector(np.clip(U[t - 1], 0.0, 1.0), kind="fuzzy")
-        indices, values = indices.step(V_old, V_new, u, X[t - 1])
+        u = np.clip(U[t - 1], 0.0, 1.0)
+        indices, values = indices.step(Vs[t - 1], Vs[t], u, X[t - 1])
         for fam, value in values.items():
             C, M = batch_accumulators(X[:t], U[:t], Vs[t],
                                       lam if fam.endswith("_lambda") else 1.0)
@@ -185,10 +179,7 @@ def k1_xb_trial(seed: int, n=150, p=2) -> float:
     worst = 0.0
     h_ref = 0.0
     for t in range(1, n + 1):
-        indices, values = indices.step(
-            PrototypeSet(Vs[t - 1]), PrototypeSet(Vs[t]),
-            MembershipVector(U[t - 1], kind="fuzzy"), X[t - 1],
-        )
+        indices, values = indices.step(Vs[t - 1], Vs[t], U[t - 1], X[t - 1])
         d = Vs[t][0] - X[t - 1]
         h_ref = max(h_ref, float(d @ d))
         C, M = batch_accumulators(X[:t], U[:t], Vs[t])

@@ -3,41 +3,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcvi.core import (
-    MembershipVector,
-    PrototypeSet,
-    StreamPoint,
-    min_pairwise_center_distance_sq,
-)
+from streamcvi.core import StreamPoint, pairwise_sq_distances
 
 from helpers import validate_membership
 
 
+def min_off_diagonal(C):
+    """Minimum squared distance over pairs of distinct rows of C."""
+    D = pairwise_sq_distances(np.asarray(C, dtype=float))
+    return float(np.min(D[~np.eye(D.shape[0], dtype=bool)]))
+
+
 class TestValidateMembership:
     def test_fuzzy_ok(self):
-        assert validate_membership(MembershipVector([0.3, 0.7], kind="fuzzy")) is None
+        assert validate_membership(np.array([0.3, 0.7])) is None
 
     def test_crisp_ok(self):
-        assert validate_membership(MembershipVector([1, 0, 0], kind="crisp")) is None
+        assert validate_membership(np.array([1.0, 0.0, 0.0]), crisp=True) is None
 
     def test_fuzzy_sum_violation(self):
-        msg = validate_membership(MembershipVector([0.5, 0.6], kind="fuzzy"))
+        msg = validate_membership(np.array([0.5, 0.6]))
         assert msg == "sum != 1"
 
     def test_crisp_not_one_hot(self):
-        msg = validate_membership(MembershipVector([0.5, 0.5], kind="crisp"))
+        msg = validate_membership(np.array([0.5, 0.5]), crisp=True)
         assert msg == "crisp vector is not one-hot"
 
     def test_negative_entry(self):
-        mv = MembershipVector(np.array([-0.1, 1.1]), kind="fuzzy")
-        assert validate_membership(mv) == "entry outside [0, 1]"
+        assert validate_membership(np.array([-0.1, 1.1])) == "entry outside [0, 1]"
 
     def test_empty_raises(self):
-        mv = MembershipVector.__new__(MembershipVector)
-        object.__setattr__(mv, "u", np.array([]))
-        object.__setattr__(mv, "kind", "fuzzy")
         with pytest.raises(ValueError):
-            validate_membership(mv)
+            validate_membership(np.array([]))
 
     @given(st.lists(st.floats(0.01, 10.0), min_size=1, max_size=12))
     def test_normalized_random_vectors_accepted(self, raw):
@@ -46,27 +43,24 @@ class TestValidateMembership:
         u[-1] = 1.0 - np.sum(u[:-1])
         if u[-1] < 0:
             return
-        assert validate_membership(MembershipVector(u, kind="fuzzy")) is None
+        assert validate_membership(u) is None
 
     @given(st.integers(1, 10), st.integers(0, 9))
     def test_one_hot_accepted(self, k, i):
         u = np.zeros(k)
         u[i % k] = 1.0
-        assert validate_membership(MembershipVector(u, kind="crisp")) is None
+        assert validate_membership(u, crisp=True) is None
 
 
 class TestMinPairwiseDistance:
+    """The minimum off-diagonal entry of pairwise_sq_distances is the XB
+    separation h."""
+
     def test_three_four_five(self):
-        V = PrototypeSet(np.array([[0.0, 0.0], [3.0, 4.0]]))
-        assert min_pairwise_center_distance_sq(V) == 25.0
+        assert min_off_diagonal([[0.0, 0.0], [3.0, 4.0]]) == 25.0
 
     def test_nearest_pair_wins(self):
-        V = PrototypeSet(np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]]))
-        assert min_pairwise_center_distance_sq(V) == 1.0
-
-    def test_single_center_rejected(self):
-        with pytest.raises(ValueError):
-            min_pairwise_center_distance_sq(PrototypeSet(np.zeros((1, 2))))
+        assert min_off_diagonal([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0]]) == 1.0
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(5)
@@ -76,19 +70,27 @@ class TestMinPairwiseDistance:
             for i in range(5)
             for j in range(i + 1, 5)
         )
-        assert min_pairwise_center_distance_sq(PrototypeSet(C)) == pytest.approx(
-            expected, rel=1e-15
-        )
+        assert min_off_diagonal(C) == pytest.approx(expected, rel=1e-15)
 
     @settings(max_examples=50)
     @given(st.integers(0, 10_000), st.integers(2, 8), st.integers(1, 5))
     def test_permutation_invariant(self, seed, k, p):
+        # permuting the rows permutes the matrix exactly, so its minimum holds
         rng = np.random.default_rng(seed)
         C = rng.normal(size=(k, p))
         perm = rng.permutation(k)
-        a = min_pairwise_center_distance_sq(PrototypeSet(C))
-        b = min_pairwise_center_distance_sq(PrototypeSet(C[perm]))
-        assert a == b
+        D = pairwise_sq_distances(C)
+        assert np.array_equal(pairwise_sq_distances(C[perm]), D[np.ix_(perm, perm)])
+        assert min_off_diagonal(C) == min_off_diagonal(C[perm])
+
+    @settings(max_examples=50)
+    @given(st.integers(0, 10_000), st.integers(1, 8), st.integers(1, 5))
+    def test_zero_diagonal_and_symmetric(self, seed, k, p):
+        C = np.random.default_rng(seed).normal(size=(k, p))
+        D = pairwise_sq_distances(C)
+        assert D.shape == (k, k)
+        assert np.all(np.diag(D) == 0.0)
+        assert np.array_equal(D, D.T)
 
 
 class TestTypes:
@@ -99,9 +101,3 @@ class TestTypes:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             StreamPoint(n=1, x=[1.0, np.nan])
-        with pytest.raises(ValueError):
-            PrototypeSet(np.array([[np.inf, 0.0]]))
-
-    def test_prototype_set_shape(self):
-        with pytest.raises(ValueError):
-            PrototypeSet(np.zeros(3))

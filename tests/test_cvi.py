@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from streamcvi.core import MembershipVector, PrototypeSet
 from streamcvi.cvi import INDEX_FAMILIES, IndexSet
 from streamcvi.verify import batch_accumulators, index_value, random_stream
 
 
 def update(family, state, V_old, V_new, u, x):
     """One step of a single-family IndexSet; returns (state', value)."""
-    state, values = state.step(V_old, V_new, u, np.asarray(x, dtype=float))
+    state, values = state.step(V_old, V_new, np.asarray(u, dtype=float),
+                               np.asarray(x, dtype=float))
     return state, values[family]
 
 
@@ -22,9 +22,9 @@ def drive(family, X, U, Vs, lam=1.0):
         state, val = update(
             family,
             state,
-            PrototypeSet(Vs[t - 1]),
-            PrototypeSet(Vs[t]),
-            MembershipVector(np.clip(U[t - 1], 0.0, 1.0), kind="fuzzy"),
+            Vs[t - 1],
+            Vs[t],
+            np.clip(U[t - 1], 0.0, 1.0),
             X[t - 1],
         )
         values.append(val)
@@ -48,20 +48,20 @@ class TestXbUpdate:
     def test_direct_substitution(self):
         # k=2, centers 2 apart, all dispersion into cluster 0 via 4 unit-distance hits
         state = IndexSet.start(("xb",), 2, 2)
-        V = PrototypeSet(np.array([[0.0, 0.0], [2.0, 0.0]]))
+        V = np.array([[0.0, 0.0], [2.0, 0.0]])
         for t in range(5):
             x = [1.0, 0.0] if t < 4 else [0.0, 0.0]
             u = [1.0, 0.0] if t < 4 else [0.0, 1.0]
-            state, val = update("xb", state, V, V, MembershipVector(u, kind="crisp"), x)
+            state, val = update("xb", state, V, V, u, x)
         # J = 4*1 + 1*4 = 8 ... compute expected directly instead
         hist = [([1.0, 0.0], [1.0, 0.0])] * 4 + [([0.0, 0.0], [0.0, 1.0])]
-        assert val == pytest.approx(oracle("xb", *hist_arrays(hist), V.centers), rel=1e-12)
+        assert val == pytest.approx(oracle("xb", *hist_arrays(hist), V), rel=1e-12)
         assert state.n == 5 and state.accumulators.k == 2
 
     def test_k1_running_max(self):
         state = IndexSet.start(("xb",), 1, 2)
-        V = PrototypeSet(np.array([[0.0, 0.0]]))
-        u = MembershipVector([1.0], kind="crisp")
+        V = np.array([[0.0, 0.0]])
+        u = [1.0]
         state, _ = update("xb", state, V, V, u, [1.0, 1.0])
         assert state.h == pytest.approx(2.0)
         state, _ = update("xb", state, V, V, u, [0.5, 0.0])
@@ -69,13 +69,13 @@ class TestXbUpdate:
 
     def test_coincident_centers_flagged_not_fatal(self):
         state = IndexSet.start(("xb",), 2, 2)
-        V = PrototypeSet(np.zeros((2, 2)))
-        u = MembershipVector([0.5, 0.5], kind="fuzzy")
+        V = np.zeros((2, 2))
+        u = [0.5, 0.5]
         state, val = update("xb", state, V, V, u, [1.0, 1.0])
         assert val is None
-        assert oracle("xb", [[1.0, 1.0]], [u.u], V.centers) is None
+        assert oracle("xb", [[1.0, 1.0]], [u], V) is None
         assert state.n == 1  # state still advanced
-        V2 = PrototypeSet(np.array([[0.0, 0.0], [3.0, 0.0]]))
+        V2 = np.array([[0.0, 0.0], [3.0, 0.0]])
         state, val = update("xb", state, V, V2, u, [1.0, 0.0])
         assert val is not None
 
@@ -92,16 +92,16 @@ class TestXbLambdaUpdate:
     def test_direct_substitution(self):
         # one first step into an empty two-cluster state: J_lam = A terms only
         state = IndexSet.start(("xb_lambda",), 2, 2, lam=0.9)
-        V = PrototypeSet(np.array([[0.0, 0.0], [4.0, 0.0]]))
-        u = MembershipVector([1.0, 0.0], kind="crisp")
+        V = np.array([[0.0, 0.0], [4.0, 0.0]])
+        u = [1.0, 0.0]
         state, val = update("xb_lambda", state, V, V, u, [2.0, 0.0])
         # J = 1 * ||(2,0)-(0,0)||^2 = 4, h = 16 -> 0.1 * 4 / 16
         assert val == pytest.approx(0.1 * 4.0 / 16.0)
 
     def test_constant_stream_decays_to_zero(self):
         state = IndexSet.start(("xb_lambda",), 2, 2, lam=0.9)
-        V = PrototypeSet(np.array([[1.0, 1.0], [5.0, 5.0]]))
-        u = MembershipVector([1.0, 0.0], kind="crisp")
+        V = np.array([[1.0, 1.0], [5.0, 5.0]])
+        u = [1.0, 0.0]
         state, first = update("xb_lambda", state, V, V, u, [2.0, 1.0])
         for _ in range(300):
             state, val = update("xb_lambda", state, V, V, u, [1.0, 1.0])
@@ -120,26 +120,26 @@ class TestDbUpdate:
     def test_symmetric_pair(self):
         # Two clusters, each with L = 1, centers 2 apart -> DB = 0.5
         state = IndexSet.start(("db",), 2, 2)
-        V = PrototypeSet(np.array([[0.0, 0.0], [2.0, 0.0]]))
+        V = np.array([[0.0, 0.0], [2.0, 0.0]])
         # one unit-distance point per cluster: C_i = 1, M_i = 1 -> L_i = 1
-        state, _ = update("db", state, V, V, MembershipVector([1, 0], kind="crisp"), [0.0, 1.0])
-        state, val = update("db", state, V, V, MembershipVector([0, 1], kind="crisp"), [2.0, 1.0])
+        state, _ = update("db", state, V, V, [1, 0], [0.0, 1.0])
+        state, val = update("db", state, V, V, [0, 1], [2.0, 1.0])
         assert val == pytest.approx(0.5)
 
     def test_k1_undefined(self):
         state = IndexSet.start(("db",), 1, 2)
-        V = PrototypeSet(np.zeros((1, 2)))
-        state, val = update("db", state, V, V, MembershipVector([1.0], kind="crisp"), [1.0, 0.0])
+        V = np.zeros((1, 2))
+        state, val = update("db", state, V, V, [1.0], [1.0, 0.0])
         assert val is None
-        assert oracle("db", [[1.0, 0.0]], [[1.0]], V.centers) is None
+        assert oracle("db", [[1.0, 0.0]], [[1.0]], V) is None
         assert state.n == 1
 
     def test_empty_cluster_contributes_L_zero(self):
         # cluster 2 (far away, distance 10) never receives mass
         state = IndexSet.start(("db",), 3, 2)
-        V = PrototypeSet(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 10.0]]))
-        state, _ = update("db", state, V, V, MembershipVector([1, 0, 0], kind="crisp"), [0.0, 1.0])
-        state, val = update("db", state, V, V, MembershipVector([0, 1, 0], kind="crisp"), [2.0, 1.0])
+        V = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 10.0]])
+        state, _ = update("db", state, V, V, [1, 0, 0], [0.0, 1.0])
+        state, val = update("db", state, V, V, [0, 1, 0], [2.0, 1.0])
         # Hand-expanded: L = (1, 1, 0); pairwise d2: 01->4, 02->100, 12->104
         # term i=0: max(2/4, 1/100) = 0.5; i=1: max(2/4, 1/104) = 0.5
         # i=2: max(1/100, 1/104) = 0.01
@@ -158,8 +158,8 @@ class TestDbLambdaUpdate:
     def test_denominator_clamp(self):
         # engineered states: check the clamp arithmetic through one update
         state = IndexSet.start(("db_lambda",), 2, 1, lam=0.9)
-        V = PrototypeSet(np.array([[0.0], [4.0]]))
-        u = MembershipVector([0.6, 0.4], kind="fuzzy")
+        V = np.array([[0.0], [4.0]])
+        u = [0.6, 0.4]
         state, val = update("db_lambda", state, V, V, u, [2.0])
         C = np.array([0.36 * 4.0, 0.16 * 4.0])
         M = np.array([0.36, 0.16])
@@ -179,15 +179,15 @@ class TestDbLambdaUpdate:
 class TestBatchOracles:
     def test_symmetric_two_point_xb(self):
         # cluster 0 at the mean of two symmetric points, cluster 1 far away
-        V = PrototypeSet(np.array([[0.0, 0.0], [100.0, 0.0]]))
+        V = np.array([[0.0, 0.0], [100.0, 0.0]])
         hist = [([-1.0, 0.0], [1.0, 0.0]), ([1.0, 0.0], [1.0, 0.0])]
         # numerator = u^2-weighted within-SSE = 2; h = 10000; n = 2
-        assert oracle("xb", *hist_arrays(hist), V.centers) == pytest.approx(2.0 / (2 * 10000.0))
+        assert oracle("xb", *hist_arrays(hist), V) == pytest.approx(2.0 / (2 * 10000.0))
 
     def test_symmetric_db_half(self):
-        V = PrototypeSet(np.array([[0.0, 0.0], [2.0, 0.0]]))
+        V = np.array([[0.0, 0.0], [2.0, 0.0]])
         hist = [([0.0, 1.0], [1.0, 0.0]), ([2.0, 1.0], [0.0, 1.0])]
-        assert oracle("db", *hist_arrays(hist), V.centers) == pytest.approx(0.5)
+        assert oracle("db", *hist_arrays(hist), V) == pytest.approx(0.5)
 
     def test_db_requires_two_clusters(self):
         assert oracle("db", np.zeros((1, 1)), np.ones((1, 1)), np.zeros((1, 1))) is None
@@ -223,8 +223,8 @@ class TestIndexProperties:
         X, U, Vs = random_stream(rng, 50, 2, 2)
         state = IndexSet.start(("xb",), 2, 2)
         for t in range(1, 51):
-            u = MembershipVector(U[t - 1], kind="fuzzy")
-            state, _ = state.step(PrototypeSet(Vs[t - 1]), PrototypeSet(Vs[t]), u, X[t - 1])
+            u = U[t - 1]
+            state, _ = state.step(Vs[t - 1], Vs[t], u, X[t - 1])
             assert state.n == t
 
 
@@ -252,8 +252,8 @@ class TestIndexSet:
         state = IndexSet.start(INDEX_FAMILIES, 4, 3, lam=0.9)
         shared = {fam: [] for fam in INDEX_FAMILIES}
         for t in range(1, 151):
-            u = MembershipVector(np.clip(U[t - 1], 0.0, 1.0), kind="fuzzy")
-            state, values = state.step(PrototypeSet(Vs[t - 1]), PrototypeSet(Vs[t]), u, X[t - 1])
+            u = np.clip(U[t - 1], 0.0, 1.0)
+            state, values = state.step(Vs[t - 1], Vs[t], u, X[t - 1])
             assert list(values) == list(INDEX_FAMILIES)
             for fam, val in values.items():
                 shared[fam].append(val)
@@ -263,10 +263,10 @@ class TestIndexSet:
 
     def test_birth_appends_empty_cluster(self):
         state = IndexSet.start(("xb", "db_lambda"), 1, 2, lam=0.9, n0=3, M0=3.0)
-        V1 = PrototypeSet(np.array([[0.0, 0.0]]))
-        state, _ = update("xb", state, V1, V1, MembershipVector([1.0], kind="crisp"), [1.0, 0.0])
-        V2 = PrototypeSet(np.array([[0.0, 0.0], [5.0, 0.0]]))
-        u = MembershipVector([1.0, 0.0], kind="fuzzy")  # newborn padded with u = 0
+        V1 = np.array([[0.0, 0.0]])
+        state, _ = update("xb", state, V1, V1, [1.0], [1.0, 0.0])
+        V2 = np.array([[0.0, 0.0], [5.0, 0.0]])
+        u = np.array([1.0, 0.0])  # newborn padded with u = 0
         state, values = state.step(V2, V2, u, np.array([0.0, 1.0]))
         acc = state.accumulators
         assert acc.lam == (1.0, 0.9) and acc.k == 2 and state.n == 5
@@ -276,4 +276,4 @@ class TestIndexSet:
         assert values["xb"] == pytest.approx(2.0 / (5 * 25.0))
         assert values["db_lambda"] is not None
         with pytest.raises(ValueError):  # clusters never disappear
-            state.step(V1, V1, MembershipVector([1.0], kind="crisp"), np.zeros(2))
+            state.step(V1, V1, np.ones(1), np.zeros(2))

@@ -257,6 +257,23 @@ class TestTraceSemantics:
                 run(X, RunConfig(k=2))
         assert info.value.n == 3 and info.value.algorithm == "skmeans"
 
+    def test_non_finite_center_names_n_and_algorithm(self, monkeypatch):
+        # push checks every step's output once: a nan center at n=6 must
+        # fail there, not pass into the index state as an undefined value
+        def nan_center_at_6(state, x):
+            out = skmeans_step(state, x)
+            if int(state.counts.sum()) == 5:
+                out[3].centers[1, 0] = np.nan
+            return out
+
+        monkeypatch.setattr("streamcvi.engine.skmeans_step", nan_center_at_6)
+        engine = StreamEngine(RunConfig(k=2))
+        for x in gaussian_pair(8, n=6)[:5]:
+            engine.push(x)
+        with pytest.raises(ClustererError, match=r"skmeans .*n=6") as info:
+            engine.push([0.0, 0.0])
+        assert info.value.n == 6 and info.value.algorithm == "skmeans"
+
     def test_dispersion_clamp_is_logged_once(self):
         # a hand-built index state whose lam row goes negative on the next
         # point: x = (1, 0) moves center 0 from (0, 0) to (0.5, 0), so

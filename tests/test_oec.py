@@ -36,7 +36,8 @@ def membership(x, state):
     return oec_membership(x, state.m, state.S_inv)
 
 
-def run_stream(X, config=OecConfig()):
+def run_stream(X):
+    config = OecConfig()
     p = X.shape[1]
     state = oec_init(X[: p + 1], config)
     events = []
@@ -108,12 +109,12 @@ class TestMahalanobis:
 class TestMembership:
     def test_single_cluster(self):
         u = membership([5.0, 5.0], make_state([[0.0, 0.0]], [np.eye(2)]))
-        assert np.array_equal(u.u, [1.0])
+        assert np.array_equal(u, [1.0])
 
     def test_equal_distances_split_evenly(self):
         state = make_state([[-1.0, 0.0], [1.0, 0.0]], [np.eye(2)] * 2)
         u = membership([0.0, 3.0], state)
-        assert np.allclose(u.u, [0.5, 0.5])
+        assert np.allclose(u, [0.5, 0.5])
 
     def test_hand_expanded_ratio(self):
         state = make_state([[0.0, 0.0], [0.0, 3.0]], [np.eye(2)] * 2)
@@ -121,13 +122,13 @@ class TestMembership:
         u = membership([1.0, 0.0], state)
         F1, F2 = 1.0, 10.0
         expected = 1.0 / (1.0 + (F1 / F2) ** 2)
-        assert u.u[0] == pytest.approx(expected)
-        assert np.sum(u.u) == pytest.approx(1.0, abs=1e-12)
+        assert u[0] == pytest.approx(expected)
+        assert np.sum(u) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_distance_one_hot_lowest_index(self):
         state = make_state([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]], [np.eye(2)] * 3)
         u = membership([0.0, 0.0], state)
-        assert np.array_equal(u.u, [0.0, 1.0, 0.0])
+        assert np.array_equal(u, [0.0, 1.0, 0.0])
 
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError):
@@ -143,15 +144,15 @@ class TestShielding:
         assert 0.0 < u.u[1] < 1e-6
         assert np.array_equal(new.count, [31, 30])
         assert new.W[0] == 30.0 + u.u[0] and new.W[1] == 30.0
-        assert np.array_equal(V_new[1], [100.0, 0.0])
-        assert not np.array_equal(V_new[0], V_old[0])
+        assert np.array_equal(V_new.centers[1], [100.0, 0.0])
+        assert not np.array_equal(V_new.centers[0], V_old.centers[0])
         assert np.array_equal(new.cov[1], state.cov[1])
 
     def test_stabilizing_cluster_absorbs_far_point(self):
         state = make_state([[0.0, 0.0]], [np.eye(2)], count=5)
         new, _, _, V_new, _ = oec_step(state, [50.0, 0.0], OecConfig())
         assert np.array_equal(new.count, [6])
-        assert V_new[0][0] == pytest.approx(50.0 / 6.0)  # W = 5, u = 1
+        assert V_new.centers[0][0] == pytest.approx(50.0 / 6.0)  # W = 5, u = 1
 
     def test_shielded_winner_is_not_counted(self):
         state = make_state([[0.0, 0.0]], [np.eye(2)])
@@ -201,7 +202,7 @@ class TestOecStep:
         rng = np.random.default_rng(2)
         X = rng.normal(size=(300, 2)) * 3.0
         for state, u, *_ in run_stream(X):
-            assert validate_membership(u) is None
+            assert validate_membership(u.u) is None
 
     def test_inverse_covariance_stays_spd(self):
         rng = np.random.default_rng(3)
@@ -213,14 +214,6 @@ class TestOecStep:
             for S_inv in state.S_inv:
                 assert np.allclose(S_inv, S_inv.T, atol=1e-10)
                 np.linalg.cholesky(S_inv)  # raises if not PD
-
-    def test_harden_reports_one_hot(self):
-        rng = np.random.default_rng(4)
-        X = rng.normal(size=(100, 2))
-        cfg = OecConfig(harden=True)
-        for state, u, *_ in run_stream(X, cfg):
-            assert u.kind == "crisp"
-            assert validate_membership(u) is None
 
     def test_birth_appends_one_row_to_every_array(self):
         from streamcvi.datagen import gen_s3
@@ -237,8 +230,8 @@ class TestOecStep:
                 assert state.S_inv.shape == (k, p, p)
                 assert state.count.shape == state.W.shape == (k,)
                 assert state.count[-1] == p + 1 and state.W[-1] == p + 1
-                assert np.array_equal(V_old[k - 1], V_new[k - 1])
-                assert u.k == k and u.u[-1] == 0.0
+                assert np.array_equal(V_old.centers[k - 1], V_new.centers[k - 1])
+                assert u.u.shape == (k,) and u.u[-1] == 0.0
                 assert events[-1] == ("cluster_created", f"k={k}")
             prev = state
         assert births >= 3

@@ -81,5 +81,4 @@ class TestProperties:
         state = skmeans_init(pts[:3])
         for x in pts[3:]:
             state, u, _, _ = skmeans_step(state, x)
-            assert u.kind == "crisp"
-            assert validate_membership(u) is None
+            assert validate_membership(u.u, crisp=True) is None
