@@ -27,8 +27,8 @@ DEFAULT_SCENARIO_FILE = Path(__file__).resolve().parents[2] / "scenarios.ini"
 
 # Every key _scenario_config reads; any other key in a scenario is an error.
 SCENARIO_KEYS = (
-    "dataset", "input", "features", "label_column", "seed",
-    "algorithm", "k", "indices", "lambda", "icvi_init", "emit_labels",
+    "dataset", "input", "features", "seed",
+    "algorithm", "k", "indices", "lambda",
     "gamma_out", "n_s", "lambda_oec",
 )
 
@@ -40,8 +40,8 @@ def cmd_generate(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="\n", encoding="utf-8") as fh:
-        for pt, label in zip(stream.points, stream.labels):
-            coords = ",".join(repr(float(c)) for c in pt.x)
+        for x, label in zip(stream.X(), stream.labels):
+            coords = ",".join(repr(float(c)) for c in x)
             fh.write(f"{coords},{label}\n")
     events_path = out.with_suffix(out.suffix + ".events")
     write_events(
@@ -85,14 +85,11 @@ def _scenario_config(sec, args) -> tuple[RunConfig, dict]:
         oec=oec,
         indices=tuple(s.strip() for s in indices.split(",") if s.strip()),
         lam=lam,
-        icvi_init=sec.get("icvi_init", "paper"),
-        emit_labels=sec.getboolean("emit_labels", fallback=False),
     )
     source = {
         "dataset": sec.get("dataset", fallback=None),
         "input": sec.get("input", fallback=None),
         "features": sec.get("features", "0,1"),
-        "label_column": sec.get("label_column", fallback=None),
         "seed": seed,
     }
     return config, source
@@ -101,13 +98,11 @@ def _scenario_config(sec, args) -> tuple[RunConfig, dict]:
 def _load_points(source):
     if source["dataset"]:
         stream = datagen.GENERATORS[source["dataset"]](source["seed"])
-        return stream.points, stream.change_events
+        return stream.X(), stream.change_events
     if not source["input"]:
         raise SystemExit("scenario needs either 'dataset' or 'input'")
     schema = StreamSchema(
-        feature_columns=tuple(int(c) for c in source["features"].split(",")),
-        label_column=None if source["label_column"] is None else int(source["label_column"]),
-    )
+        feature_columns=tuple(int(c) for c in source["features"].split(",")))
     points, _ = read_stream(source["input"], schema)
     return points, ()
 

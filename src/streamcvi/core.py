@@ -8,38 +8,34 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _all_finite(v: np.ndarray) -> bool:
-    # A non-finite entry always poisons the sum (inf - inf gives nan).
-    return math.isfinite(float(v.sum()))
+def all_finite(v: np.ndarray) -> bool:
+    """True when every entry of ``v`` is finite.
+
+    One sum is the fast test: a non-finite entry always poisons it (inf - inf
+    gives nan). Finite entries can also overflow the sum, so a non-finite sum
+    is confirmed entry by entry before the verdict.
+    """
+    return math.isfinite(float(v.sum())) or bool(np.isfinite(v).all())
 
 
-def as_vector(x, p: int | None = None) -> np.ndarray:
-    """Coerce to a finite 1-d float array, optionally checking its dimension."""
+def as_vector(x) -> np.ndarray:
+    """Coerce to a finite 1-d float array."""
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
-    if p is not None and v.shape[0] != p:
-        raise ValueError(f"expected dimension {p}, got {v.shape[0]}")
-    if not _all_finite(v):
+    if not all_finite(v):
         raise ValueError("vector has non-finite coordinates")
     return v
 
 
 @dataclass(frozen=True)
 class StreamPoint:
-    """A single observation: 1-based sequence index plus feature vector."""
+    """A single observation's feature vector."""
 
-    n: int
     x: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "x", as_vector(self.x))
-        if self.n < 1:
-            raise ValueError("sequence index is 1-based")
-
-    @property
-    def p(self) -> int:
-        return self.x.shape[0]
 
 
 @dataclass(frozen=True)

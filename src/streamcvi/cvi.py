@@ -92,8 +92,9 @@ class IndexSet:
 
     @classmethod
     def start(cls, families, k: int, p: int, lam: float = 1.0,
-              n0: int = 0, M0: float = 0.0) -> "IndexSet":
-        """Fresh state after ``n0`` warm-up points, each cluster holding mass M0."""
+              n0: int = 0) -> "IndexSet":
+        """Fresh state after ``n0`` warm-up points; each cluster starts with
+        the warm-up count as its membership mass."""
         families = check_families(families, lam)
         forgetting = any(fam.endswith("_lambda") for fam in families)
         plain = any(not fam.endswith("_lambda") for fam in families)
@@ -107,7 +108,7 @@ class IndexSet:
             db_floor=per_row([1.0 if f < 1.0 else _EMPTY_CLUSTER_FLOOR for f in lams])
             if any(fam.startswith("db") for fam in families) else None,
         )
-        return cls(families, new_accumulators(k, p, lam=lams, M0=M0), 0.0, n0, readout)
+        return cls(families, new_accumulators(k, p, lam=lams, M0=float(n0)), 0.0, n0, readout)
 
     def float_count(self) -> int:
         return 2 + self.accumulators.float_count()  # + h, n

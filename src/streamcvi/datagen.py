@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StreamPoint
-
 # First seed whose five segment-length draws sum to the reference stream
 # length of 1955 (see gen_s1); found by exhaustive search from 0.
 DEFAULT_S1_SEED = 1422
@@ -41,31 +39,33 @@ S3_NOISE_COV = np.diag([9.0, 9.0])
 
 @dataclass(frozen=True)
 class LabeledStream:
-    points: tuple[StreamPoint, ...]
+    samples: np.ndarray             # (n, p), read-only
     labels: tuple[int, ...]
     change_events: tuple[int, ...]  # 1-based index of the first shifted sample
 
     def __post_init__(self):
-        if len(self.points) != len(self.labels):
-            raise ValueError("labels must align with points")
+        if len(self.samples) != len(self.labels):
+            raise ValueError("labels must align with samples")
         if list(self.change_events) != sorted(set(self.change_events)):
             raise ValueError("change events must be strictly increasing")
 
     @property
     def n(self) -> int:
-        return len(self.points)
+        return self.samples.shape[0]
 
     @property
     def p(self) -> int:
-        return self.points[0].p
+        return self.samples.shape[1]
 
     def X(self) -> np.ndarray:
-        return np.stack([pt.x for pt in self.points])
+        """The (n, p) samples, one row per point in stream order."""
+        return self.samples
 
 
 def _finish(rows, labels, events) -> LabeledStream:
-    pts = tuple(StreamPoint(n=i + 1, x=x) for i, x in enumerate(rows))
-    return LabeledStream(points=pts, labels=tuple(labels), change_events=tuple(events))
+    samples = np.array(rows, dtype=float)
+    samples.flags.writeable = False  # X() hands out this array itself
+    return LabeledStream(samples=samples, labels=tuple(labels), change_events=tuple(events))
 
 
 def gen_s1(seed: int = DEFAULT_S1_SEED) -> LabeledStream:

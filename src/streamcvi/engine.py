@@ -9,12 +9,11 @@ evaluated point plus an event log.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import as_vector
+from .core import all_finite, as_vector
 from .cvi import INDEX_FAMILIES, IndexSet, check_families
 from .oec import OecConfig, oec_init, oec_step
 from .skmeans import skmeans_init, skmeans_step
@@ -28,15 +27,11 @@ class RunConfig:
     oec: OecConfig = field(default_factory=OecConfig)
     indices: tuple[str, ...] = INDEX_FAMILIES
     lam: float = 0.9                         # forgetting factor of *_lambda indices
-    icvi_init: str = "paper"                 # "paper" | "zeros"
-    emit_labels: bool = False
 
     def __post_init__(self):
         if self.algorithm not in ("skmeans", "oec"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         check_families(self.indices, self.lam)
-        if self.icvi_init not in ("paper", "zeros"):
-            raise ValueError(f"unknown init mode {self.icvi_init!r}")
         if self.algorithm == "skmeans" and self.k < 1:
             raise ValueError("k must be positive")
 
@@ -98,12 +93,7 @@ class StreamEngine:
                     k0 = 1
             except _CLUSTERER_FAILURES as exc:
                 raise ClustererError(cfg.algorithm, self._n, exc) from exc
-            # "paper" seeds every cluster's membership mass with the warm-up
-            # count; "zeros" starts all accumulators empty.
-            self._indices = IndexSet.start(
-                cfg.indices, k0, p, lam=cfg.lam, n0=self._n,
-                M0=float(self._n) if cfg.icvi_init == "paper" else 0.0,
-            )
+            self._indices = IndexSet.start(cfg.indices, k0, p, lam=cfg.lam, n0=self._n)
             self._buffer = []
             return None
 
@@ -116,8 +106,7 @@ class StreamEngine:
                     self._cluster_state, x, cfg.oec
                 )
             u, V_old, V_new = u.u, V_old.centers, V_new.centers
-            # A non-finite entry always poisons the sum (inf - inf gives nan).
-            if not math.isfinite(float(u.sum() + V_new.sum())):
+            if not (all_finite(u) and all_finite(V_new)):
                 raise ValueError("memberships or centers are not finite")
         except _CLUSTERER_FAILURES as exc:
             raise ClustererError(cfg.algorithm, self._n, exc) from exc
@@ -137,8 +126,7 @@ class StreamEngine:
                 self.events.append(
                     EventRecord(n=self._n, kind="index_undefined", detail=fam)
                 )
-        label = int(np.argmax(u)) if cfg.emit_labels else None
-        record = TraceRecord(n=self._n, k=V_new.shape[0], values=values, label=label)
+        record = TraceRecord(n=self._n, k=V_new.shape[0], values=values)
         self.trace.append(record)
         return record
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .core import MembershipVector, PrototypeSet, as_vector
 
@@ -42,7 +42,9 @@ def chi2_inverse(p_dof: int, gamma: float) -> float:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
     if p_dof < 1:
         raise ValueError("degrees of freedom must be a positive integer")
-    return float(stats.chi2.ppf(gamma, df=p_dof))
+    # scipy.stats.chi2.ppf computes this same expression; importing
+    # scipy.special alone keeps scipy.stats out of the engine's import time.
+    return float(2.0 * special.gammaincinv(p_dof / 2, gamma))
 
 
 def mahalanobis_sq(x: np.ndarray, m: np.ndarray, S_inv: np.ndarray) -> np.ndarray:
@@ -58,7 +60,11 @@ def mahalanobis_sq(x: np.ndarray, m: np.ndarray, S_inv: np.ndarray) -> np.ndarra
     return F
 
 
-def _membership_from_distances(F: np.ndarray) -> np.ndarray:
+def oec_membership(F: np.ndarray) -> np.ndarray:
+    """Fuzzy k-means memberships (fuzzifier m=2) from (k,) squared Mahalanobis
+    distances. A zero distance yields a one-hot vector at the lowest
+    zero-distance index.
+    """
     zero = np.flatnonzero(F == 0.0)
     if zero.size > 0:
         u = np.zeros(F.shape[0])
@@ -69,28 +75,27 @@ def _membership_from_distances(F: np.ndarray) -> np.ndarray:
     return inv2 / np.sum(inv2)
 
 
-def oec_membership(x, m: np.ndarray, S_inv: np.ndarray) -> np.ndarray:
-    """Fuzzy k-means memberships over squared Mahalanobis distances (fuzzifier m=2).
-
-    A zero distance yields a one-hot vector at the lowest zero-distance index.
-    """
-    return _membership_from_distances(mahalanobis_sq(as_vector(x, m.shape[1]), m, S_inv))
-
-
 def _regularize(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Invert a covariance estimate, nudging it back to PD when needed."""
+    """Invert a covariance estimate, nudging it back to PD when needed.
+
+    The pivot floor and the nudge are both relative to the mean variance
+    trace/p, so a rank-deficient estimate is caught at any scale. A zero
+    covariance has no scale of its own and becomes 1e-6 * I.
+    """
     p = cov.shape[0]
     cov = 0.5 * (cov + cov.T)
     regularized = False
     for _ in range(40):
+        scale = np.trace(cov) / p
+        if not scale > 0.0:
+            scale = 1.0
         try:
             L = np.linalg.cholesky(cov)
-            if np.min(np.diag(L)) ** 2 >= 1e-10:
+            if np.min(np.diag(L)) ** 2 >= 1e-10 * scale:
                 break
         except np.linalg.LinAlgError:
             pass
-        delta = 1e-6 * max(np.trace(cov) / p, 1e-6)
-        cov = cov + delta * np.eye(p)
+        cov = cov + 1e-6 * scale * np.eye(p)
         regularized = True
     S_inv = np.linalg.inv(cov)
     S_inv = 0.5 * (S_inv + S_inv.T)
@@ -181,7 +186,7 @@ def oec_step(state: OecState, x_new, config: OecConfig):
     events: list[tuple[str, str]] = []
 
     F = mahalanobis_sq(x, state.m, state.S_inv)
-    u = _membership_from_distances(F)
+    u = oec_membership(F)
     winner = int(np.argmax(u))
 
     # The outlier boundary shields a stabilized prototype from points far

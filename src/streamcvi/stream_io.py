@@ -1,9 +1,9 @@
 """Stream ingestion and trace/event emission.
 
 Traces are RFC-4180-style CSV (UTF-8, LF) with the fixed header
-``n,k,xb,xb_lambda,db,db_lambda`` plus an optional trailing ``label`` column.
-Undefined or disabled index values serialize as empty cells. Floats use
-Python's shortest round-trip repr so written values parse back exactly.
+``n,k,xb,xb_lambda,db,db_lambda`` and no other column. Undefined or disabled
+index values serialize as empty cells. Floats use Python's shortest
+round-trip repr so written values parse back exactly.
 Events are line-delimited tab-separated records: n, kind, detail.
 """
 
@@ -25,7 +25,6 @@ class TraceRecord:
     n: int
     k: int
     values: dict = field(default_factory=dict)  # family -> float or None
-    label: int | None = None
 
 
 @dataclass(frozen=True)
@@ -69,8 +68,7 @@ def read_stream(path, schema: StreamSchema = StreamSchema()):
             if len(row) <= needed:
                 raise IngestionError(f"row {row_no}: expected at least {needed + 1} columns")
             try:  # float() rejects a non-numeric cell, StreamPoint a non-finite one
-                points.append(StreamPoint(
-                    n=len(points) + 1, x=[float(row[c]) for c in schema.feature_columns]))
+                points.append(StreamPoint([float(row[c]) for c in schema.feature_columns]))
             except ValueError as exc:
                 raise IngestionError(f"row {row_no}: bad feature value ({exc})") from None
             if labels is not None:
@@ -90,18 +88,13 @@ def _fmt(v) -> str:
 
 
 def write_trace(records, path) -> None:
-    records = list(records)
-    with_labels = any(r.label is not None for r in records)
-    header = TRACE_COLUMNS + (("label",) if with_labels else ())
+    """Write trace records in the order the iterable yields them."""
     with Path(path).open("w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        writer.writerow(TRACE_COLUMNS)
         for r in records:
-            row = [str(r.n), str(r.k)]
-            row += [_fmt(r.values.get(fam)) for fam in INDEX_FAMILIES]
-            if with_labels:
-                row.append("" if r.label is None else str(r.label))
-            writer.writerow(row)
+            writer.writerow([str(r.n), str(r.k)]
+                            + [_fmt(r.values.get(fam)) for fam in INDEX_FAMILIES])
 
 
 def read_trace(path):
@@ -109,19 +102,13 @@ def read_trace(path):
     records = []
     with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        with_labels = header[-1] == "label"
+        next(reader)  # header
         for row in reader:
             values = {
                 fam: (float(cell) if cell else None)
                 for fam, cell in zip(INDEX_FAMILIES, row[2:6])
             }
-            label = None
-            if with_labels and len(row) > 6 and row[6]:
-                label = int(row[6])
-            records.append(
-                TraceRecord(n=int(row[0]), k=int(row[1]), values=values, label=label)
-            )
+            records.append(TraceRecord(n=int(row[0]), k=int(row[1]), values=values))
     return records
 
 

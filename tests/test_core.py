@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcvi.core import StreamPoint, pairwise_sq_distances
+from streamcvi.core import StreamPoint, as_vector, pairwise_sq_distances
 
 from helpers import validate_membership
 
@@ -94,10 +94,24 @@ class TestMinPairwiseDistance:
 
 
 class TestTypes:
-    def test_stream_point_one_based(self):
-        with pytest.raises(ValueError):
-            StreamPoint(n=0, x=[1.0, 2.0])
-
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            StreamPoint(n=1, x=[1.0, np.nan])
+            StreamPoint(x=[1.0, np.nan])
+
+
+class TestAsVector:
+    @pytest.mark.parametrize("bad", [[np.inf], [1.0, np.nan], [np.inf, -np.inf]])
+    def test_non_finite_rejected(self, bad):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            as_vector(bad)
+
+    def test_finite_vector_whose_sum_overflows_accepted(self):
+        # the fast test sums the entries; an overflowed sum is confirmed
+        # entry by entry instead of rejecting finite coordinates
+        with np.errstate(over="ignore"):
+            v = as_vector([1e308, 1e308])
+        assert np.array_equal(v, [1e308, 1e308])
+
+    def test_not_one_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="1-d"):
+            as_vector([[1.0, 2.0]])

@@ -262,7 +262,7 @@ class TestIndexSet:
             assert shared[fam] == alone
 
     def test_birth_appends_empty_cluster(self):
-        state = IndexSet.start(("xb", "db_lambda"), 1, 2, lam=0.9, n0=3, M0=3.0)
+        state = IndexSet.start(("xb", "db_lambda"), 1, 2, lam=0.9, n0=3)
         V1 = np.array([[0.0, 0.0]])
         state, _ = update("xb", state, V1, V1, [1.0], [1.0, 0.0])
         V2 = np.array([[0.0, 0.0], [5.0, 0.0]])

@@ -31,9 +31,10 @@ class TestS1:
     def test_first_outputs_start_from_zero_history(self):
         s = gen_s1(7)
         # y_1 depends only on the zero seed history: y_1 = 0
-        assert s.points[0].x[1] == 0.0
+        X = s.X()
+        assert X[0, 1] == 0.0
         # y_2 = 1.018 * x_1 (y history still zero)
-        assert s.points[1].x[1] == pytest.approx(S1_COEFFS_M1[0] * s.points[0].x[0])
+        assert X[1, 1] == pytest.approx(S1_COEFFS_M1[0] * X[0, 0])
 
     def test_mode_coefficient_direct_evaluation(self):
         # M1 with y-history zero and x[n-1] = 1 gives y = 1.018
@@ -128,4 +129,4 @@ class TestLabeledStream:
         for s in (gen_s1(), gen_s2(0), gen_s3(0)):
             assert s.p == 2
             assert len(s.labels) == s.n
-            assert all(pt.n == i + 1 for i, pt in enumerate(s.points))
+            assert s.X().shape == (s.n, 2)

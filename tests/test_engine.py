@@ -1,9 +1,13 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from streamcvi.core import pairwise_sq_distances
 from streamcvi.cvi import INDEX_FAMILIES
 from streamcvi.datagen import gen_s1, gen_s2, gen_s3
 from streamcvi.dispersion import Accumulators
@@ -59,7 +63,7 @@ def direct_value(fam, X, replayed, t, config):
     """Index ``fam`` after evaluated point t (1-based) by direct summation
     over the whole history, or None when undefined.
 
-    "paper" warm-up seeding gives each initial cluster the warm-up count as
+    Warm-up seeding gives each initial cluster the warm-up count as
     membership mass at its starting center: a phantom point of mass
     n0 * lam**t there. While k == 1, XB divides by the running max of
     ||v_1 - x||^2.
@@ -69,10 +73,9 @@ def direct_value(fam, X, replayed, t, config):
     k = V.shape[0]
     lam = config.lam if fam.endswith("_lambda") else 1.0
     C, M = batch_accumulators(X[n0:n0 + t], U[:t, :k], V, lam)
-    if config.icvi_init == "paper":
-        k0 = V0.shape[0]
-        C[:k0] += n0 * lam ** t * np.sum((V0 - V[:k0]) ** 2, axis=1)
-        M[:k0] += n0 * lam ** t
+    k0 = V0.shape[0]
+    C[:k0] += n0 * lam ** t * np.sum((V0 - V[:k0]) ** 2, axis=1)
+    M[:k0] += n0 * lam ** t
     h = None
     if k == 1:  # k has been 1 throughout
         h = max(float(np.sum((Vs[s][0] - X[n0 + s]) ** 2)) for s in range(t))
@@ -114,44 +117,18 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(indices=("xb_lambda",), lam=1.0)
 
-    def test_bad_init_mode(self):
-        with pytest.raises(ValueError):
-            RunConfig(icvi_init="warm")
-
 
 class TestInitModes:
-    def warmed_up(self, mode):
-        """The engine's index state right after OEC's warm-up: p + 1 = 4
-        points in 3-d, one cluster."""
-        engine = StreamEngine(RunConfig(algorithm="oec", icvi_init=mode))
+    def test_paper_mode_seeds_mass_with_warmup_count(self):
+        # the index state right after OEC's warm-up: p + 1 = 4 points in 3-d,
+        # one cluster holding the warm-up count as mass in every row
+        engine = StreamEngine(RunConfig(algorithm="oec"))
         for x in np.random.default_rng(8).normal(size=(4, 3)):
             engine.push(x)
-        return engine._indices
-
-    def test_paper_mode_seeds_mass_with_warmup_count(self):
-        state = self.warmed_up("paper")
+        state = engine._indices
         assert state.n == 4
         assert state.accumulators.lam == (1.0, 0.9)
         assert np.array_equal(state.accumulators.M, [[4.0], [4.0]])
-
-    def test_zeros_mode_starts_empty(self):
-        state = self.warmed_up("zeros")
-        assert state.n == 4
-        assert state.accumulators.lam == (1.0, 0.9)
-        assert np.array_equal(state.accumulators.M, np.zeros((2, 1)))
-
-    def test_modes_converge_on_stationary_stream(self):
-        # the warm-up offset washes out: after 500 evaluated points the two
-        # initialization modes agree to better than 1%
-        X = gaussian_pair(0, n=2000)
-        traces = {}
-        for mode in ("paper", "zeros"):
-            trace, _ = run(X, RunConfig(icvi_init=mode, indices=("xb", "db")))
-            traces[mode] = trace
-        for a, b in zip(traces["paper"][500:], traces["zeros"][500:]):
-            for fam in ("xb", "db"):
-                if a.values[fam] is not None and b.values[fam] is not None:
-                    assert b.values[fam] == pytest.approx(a.values[fam], rel=0.01)
 
 
 class TestWarmup:
@@ -178,13 +155,11 @@ class TestWarmup:
 class TestTraceSemantics:
     def test_single_pass_matches_batch_oracle(self):
         # feed a stream through the full engine, replay the clusterer offline,
-        # and recompute every family by direct summation, in both init modes
+        # and recompute every family by direct summation
         X = gaussian_pair(3, n=120)
-        for mode in ("zeros", "paper"):
-            config = RunConfig(algorithm="skmeans", k=2, indices=INDEX_FAMILIES,
-                               lam=0.9, icvi_init=mode)
-            trace, _ = run(X, config)
-            assert_matches_direct(trace, X, config, (1, 2, 30, 117, 118))
+        config = RunConfig(algorithm="skmeans", k=2, indices=INDEX_FAMILIES, lam=0.9)
+        trace, _ = run(X, config)
+        assert_matches_direct(trace, X, config, (1, 2, 30, 117, 118))
         # the s1 time series (its scenario's seed), around every regime change
         stream = gen_s1(1422)
         X = stream.X()
@@ -216,13 +191,6 @@ class TestTraceSemantics:
         trace, _ = run(gaussian_pair(4, n=50), RunConfig(k=2))
         assert [r.n for r in trace] == list(range(3, 51))
 
-    def test_labels_emitted_only_when_asked(self):
-        X = gaussian_pair(5, n=30)
-        trace, _ = run(X, RunConfig(emit_labels=True))
-        assert all(r.label in (0, 1) for r in trace)
-        trace, _ = run(X, RunConfig(emit_labels=False))
-        assert all(r.label is None for r in trace)
-
     def test_non_finite_values_are_flagged_undefined(self):
         # at this scale every squared distance is finite but the index
         # accumulators and read-outs overflow; every read-out that comes out
@@ -235,6 +203,15 @@ class TestTraceSemantics:
         undefined = sum(v is None for v in values)
         assert undefined > 0
         assert undefined == sum(e.kind == "index_undefined" for e in events)
+
+    @pytest.mark.parametrize("e", [-300, -20, 300])
+    def test_oec_run_is_scale_equivariant(self, e):
+        # scaling by a power of two is exact and OEC's covariance floors are
+        # relative to the covariance itself, so the run repeats bit for bit;
+        # with absolute floors, k stayed 1 at e = -20 and the run failed at -300
+        X = gen_s3(0).X()
+        config = RunConfig(algorithm="oec")
+        assert run(X * 2.0 ** e, config) == run(X, config)
 
     def test_clusterer_failure_names_n_and_algorithm(self):
         # OEC's Mahalanobis distances overflow at its first step on this
@@ -257,6 +234,17 @@ class TestTraceSemantics:
                 run(X, RunConfig(k=2))
         assert info.value.n == 3 and info.value.algorithm == "skmeans"
 
+    def test_overflowing_distance_named_as_the_cause(self):
+        # [1e308, 1e308] is finite, so the engine accepts it; its squared
+        # distance to a prototype overflows, and the error must say so
+        engine = StreamEngine(RunConfig(k=2))
+        engine.push([0.0, 0.0])
+        engine.push([1.0, 1.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ClustererError, match="squared distances") as info:
+                engine.push([1e308, 1e308])
+        assert info.value.n == 3
+
     def test_non_finite_center_names_n_and_algorithm(self, monkeypatch):
         # push checks every step's output once: a nan center at n=6 must
         # fail there, not pass into the index state as an undefined value
@@ -278,7 +266,7 @@ class TestTraceSemantics:
         # a hand-built index state whose lam row goes negative on the next
         # point: x = (1, 0) moves center 0 from (0, 0) to (0.5, 0), so
         # Q = -50 and C' = 2 * 0.9 * Q + A < 0 in that row only
-        engine = StreamEngine(RunConfig(algorithm="skmeans", k=2, icvi_init="zeros"))
+        engine = StreamEngine(RunConfig(algorithm="skmeans", k=2))
         engine.push([0.0, 0.0])
         engine.push([10.0, 0.0])
         state = engine._indices
@@ -298,6 +286,50 @@ class TestTraceSemantics:
         t2, e2 = run(X, config)
         assert t1 == t2
         assert e1 == e2
+
+
+DEGENERATE_CONFIGS = [RunConfig(k=2), RunConfig(k=3), RunConfig(k=5),
+                      RunConfig(algorithm="oec")]
+
+
+def assert_degenerate_flagged(X, config):
+    """Run X to the end without an error. Every None read-out has exactly one
+    index_undefined event, and every read-out at coincident centers is None.
+    Returns the trace."""
+    trace, events = run(X, config)
+    flagged = Counter((e.n, e.detail) for e in events if e.kind == "index_undefined")
+    assert set(flagged.values()) <= {1}
+    Vs = replay(X, config)[3]
+    for row, V in zip(trace, Vs, strict=True):
+        undefined = {fam for fam, v in row.values.items() if v is None}
+        assert undefined == {fam for fam in config.indices if (row.n, fam) in flagged}
+        gaps = pairwise_sq_distances(V)[~np.eye(V.shape[0], dtype=bool)]
+        if (gaps == 0.0).any():
+            assert undefined == set(config.indices), row
+    assert sum(flagged.values()) == sum(v is None for r in trace for v in r.values.values())
+    return trace
+
+
+class TestDegenerateInput:
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(-1e150, 1e150), st.sampled_from([1, 2, 3]),
+           st.sampled_from(DEGENERATE_CONFIGS), st.integers(6, 50))
+    def test_constant_stream_is_undefined_throughout(self, c, p, config, n):
+        # sk-means centers all sit on c, so they coincide at every step
+        trace = assert_degenerate_flagged(np.full((n, p), c), config)
+        if config.algorithm == "oec":
+            # one cluster throughout, so DB is undefined; XB's separation is
+            # the distance from the warm-up mean to c, 0 unless the mean
+            # rounds off c
+            assert all(r.k == 1 for r in trace)
+            assert all(r.values[f] is None for r in trace for f in ("db", "db_lambda"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([1, 2, 3]), st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=6),
+           st.sampled_from(DEGENERATE_CONFIGS), st.lists(st.booleans(), min_size=6, max_size=50))
+    def test_two_point_stream_flags_coincident_centers(self, p, coords, config, picks):
+        a, b = np.array(coords[:p]), np.array(coords[p:2 * p])
+        assert_degenerate_flagged(np.array([b if pick else a for pick in picks]), config)
 
 
 class TestDynamicK:

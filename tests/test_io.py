@@ -23,7 +23,6 @@ class TestReadStream:
         points, labels = read_stream(f)
         assert len(points) == 5
         assert labels is None
-        assert points[0].n == 1 and points[4].n == 5
         assert np.array_equal(points[2].x, [2.5, 2.25])
 
     def test_label_column(self, tmp_path):
@@ -74,7 +73,6 @@ class TestWriteTrace:
                     "db": None,
                     "db_lambda": float(rng.normal() ** 2),
                 },
-                label=int(rng.integers(0, 3)),
             )
             for i in range(50)
         ]
@@ -82,7 +80,7 @@ class TestWriteTrace:
         write_trace(records, f)
         back = read_trace(f)
         for a, b in zip(records, back):
-            assert a.n == b.n and a.k == b.k and a.label == b.label
+            assert a.n == b.n and a.k == b.k
             for fam in a.values:
                 if a.values[fam] is None:
                     assert b.values[fam] is None

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
+
+import streamcvi
 
 from streamcvi.oec import (
     OecConfig,
@@ -33,7 +40,7 @@ def make_state(ms, S_invs, count=30):
 
 
 def membership(x, state):
-    return oec_membership(x, state.m, state.S_inv)
+    return oec_membership(mahalanobis_sq(np.asarray(x, dtype=float), state.m, state.S_inv))
 
 
 def run_stream(X):
@@ -65,6 +72,19 @@ class TestChi2Inverse:
             chi2_inverse(2, 1.0)
         with pytest.raises(ValueError):
             chi2_inverse(2, 0.0)
+
+    def test_equals_scipy_stats_exactly(self):
+        for p_dof in (1, 2, 3, 8, 50, 200):
+            for gamma in (0.01, 0.5, 0.9, 0.99, 0.999, 0.9999):
+                assert chi2_inverse(p_dof, gamma) == float(stats.chi2.ppf(gamma, df=p_dof))
+
+    def test_engine_import_leaves_scipy_stats_out(self):
+        # scipy.stats dominates the engine's import time when it is loaded
+        src = str(Path(streamcvi.__file__).resolve().parents[1])
+        code = "import sys, streamcvi.engine; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
 
 
 class TestMahalanobis:
@@ -131,8 +151,8 @@ class TestMembership:
         assert np.array_equal(u, [0.0, 1.0, 0.0])
 
     def test_wrong_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            membership([0.0, 0.0, 0.0], make_state([[0.0, 0.0]], [np.eye(2)]))
+        with pytest.raises(ValueError, match=r"expected a \(2,\) vector"):
+            oec_step(make_state([[0.0, 0.0]], [np.eye(2)]), [0.0, 0.0, 0.0], OecConfig())
 
 
 class TestShielding:
