@@ -25,12 +25,20 @@ from .stream_io import (
 
 DEFAULT_SCENARIO_FILE = Path(__file__).resolve().parents[2] / "scenarios.ini"
 
-# Every key _scenario_config reads; any other key in a scenario is an error.
-SCENARIO_KEYS = (
-    "dataset", "input", "features", "seed",
-    "algorithm", "k", "indices", "lambda",
-    "gamma_out", "n_s", "lambda_oec",
-)
+# Scenario key -> (config class, field, parser). A key a section leaves out
+# takes the field's default, so RunConfig and OecConfig own every default.
+CONFIG_KEYS = {
+    "algorithm": (RunConfig, "algorithm", str),
+    "k": (RunConfig, "k", int),
+    "indices": (RunConfig, "indices",
+                lambda s: tuple(f.strip() for f in s.split(",") if f.strip())),
+    "lambda": (RunConfig, "lam", float),
+    "gamma_out": (OecConfig, "gamma_out", float),
+    "n_s": (OecConfig, "n_s", int),
+    "lambda_oec": (OecConfig, "lambda_oec", float),
+}
+# The other keys pick the stream: a generated dataset (and its seed) or a CSV.
+SCENARIO_KEYS = ("dataset", "input", "features", "seed") + tuple(CONFIG_KEYS)
 
 
 def cmd_generate(args) -> int:
@@ -70,49 +78,39 @@ def _load_scenario(path: Path, name: str) -> configparser.SectionProxy:
     return parser[name]
 
 
-def _scenario_config(sec, args) -> tuple[RunConfig, dict]:
-    indices = args.indices or sec.get("indices", "xb,xb_lambda,db,db_lambda")
-    lam = args.lam if args.lam is not None else sec.getfloat("lambda", 0.9)
-    seed = args.seed if args.seed is not None else sec.getint("seed", 0)
-    oec = OecConfig(
-        gamma_out=sec.getfloat("gamma_out", 0.999),
-        n_s=sec.getint("n_s", 20),
-        lambda_oec=sec.getfloat("lambda_oec", 0.9),
-    )
-    config = RunConfig(
-        algorithm=sec.get("algorithm", "skmeans"),
-        k=args.k if args.k is not None else sec.getint("k", 2),
-        oec=oec,
-        indices=tuple(s.strip() for s in indices.split(",") if s.strip()),
-        lam=lam,
-    )
-    source = {
-        "dataset": sec.get("dataset", fallback=None),
-        "input": sec.get("input", fallback=None),
-        "features": sec.get("features", "0,1"),
-        "seed": seed,
-    }
-    return config, source
+def _scenario_config(sec) -> RunConfig:
+    fields = {RunConfig: {}, OecConfig: {}}
+    for key, (cls, name, parse) in CONFIG_KEYS.items():
+        if key in sec:
+            fields[cls][name] = parse(sec[key])
+    return RunConfig(oec=OecConfig(**fields[OecConfig]), **fields[RunConfig])
 
 
-def _load_points(source):
-    if source["dataset"]:
-        stream = datagen.GENERATORS[source["dataset"]](source["seed"])
+def _load_points(sec):
+    """The scenario's points, as vectors, and its ground-truth change events."""
+    if "dataset" in sec:
+        name = sec["dataset"]
+        if name not in datagen.GENERATORS:
+            known = ", ".join(datagen.GENERATORS)
+            raise ValueError(f"unknown dataset {name!r} (known: {known})")
+        seed = int(sec["seed"]) if "seed" in sec else datagen.DEFAULT_SEEDS[name]
+        stream = datagen.GENERATORS[name](seed)
         return stream.X(), stream.change_events
-    if not source["input"]:
-        raise SystemExit("scenario needs either 'dataset' or 'input'")
-    schema = StreamSchema(
-        feature_columns=tuple(int(c) for c in source["features"].split(",")))
-    points, _ = read_stream(source["input"], schema)
-    return points, ()
+    if "input" not in sec:
+        raise ValueError("needs either 'dataset' or 'input'")
+    schema = StreamSchema()
+    if "features" in sec:
+        schema = StreamSchema(feature_columns=tuple(int(c) for c in sec["features"].split(",")))
+    points, _ = read_stream(sec["input"], schema)
+    return [pt.x for pt in points], ()
 
 
 def cmd_run(args) -> int:
     path = Path(args.scenario_file) if args.scenario_file else DEFAULT_SCENARIO_FILE
     sec = _load_scenario(path, args.scenario)
-    config, source = _scenario_config(sec, args)
     try:
-        points, change_events = _load_points(source)
+        config = _scenario_config(sec)
+        points, change_events = _load_points(sec)
         trace, events = run(points, config, change_events)
     except (OSError, ValueError) as exc:
         print(f"scenario {args.scenario}: {exc}", file=sys.stderr)
@@ -167,11 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("scenario")
     r.add_argument("--scenario-file", default=None)
     r.add_argument("--out", default=None)
-    r.add_argument("--seed", type=int, default=None)
-    r.add_argument("--lambda", dest="lam", type=float, default=None)
-    r.add_argument("--k", type=int, default=None)
-    r.add_argument("--indices", default=None,
-                   help="comma-separated subset of xb,xb_lambda,db,db_lambda")
     r.set_defaults(func=cmd_run)
 
     v = sub.add_parser("verify", help="run the incremental-vs-batch oracle suite")

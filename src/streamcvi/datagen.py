@@ -132,12 +132,7 @@ def gen_s2(seed: int = DEFAULT_S2_SEED) -> LabeledStream:
     return _finish(rows, labels, events)
 
 
-def gen_s3(
-    seed: int = DEFAULT_S3_SEED,
-    radius: float = S3_RADIUS,
-    cluster_cov: np.ndarray = S3_CLUSTER_COV,
-    noise_cov: np.ndarray = S3_NOISE_COV,
-) -> LabeledStream:
+def gen_s3(seed: int = DEFAULT_S3_SEED) -> LabeledStream:
     """Gaussians rotating around a circle in 10 equal shifts, 200 samples per
     position; each shift moves 1..20 samples into a central noise Gaussian."""
     rng = np.random.default_rng(seed)
@@ -150,11 +145,11 @@ def gen_s3(
         if step > 0:
             events.append(len(rows) + 1)
         angle = 2.0 * np.pi * step / 10.0
-        mu = center + radius * np.array([np.cos(angle), np.sin(angle)])
-        block = rng.multivariate_normal(mu, cluster_cov, size=200)
+        mu = center + S3_RADIUS * np.array([np.cos(angle), np.sin(angle)])
+        block = rng.multivariate_normal(mu, S3_CLUSTER_COV, size=200)
         n_noise = int(rng.integers(1, 21))
         idx = rng.choice(200, size=n_noise, replace=False)
-        block[idx] = rng.multivariate_normal(center, noise_cov, size=n_noise)
+        block[idx] = rng.multivariate_normal(center, S3_NOISE_COV, size=n_noise)
         rows.extend(block)
         labels.extend([step] * 200)
     return _finish(rows, labels, events)

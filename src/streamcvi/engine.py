@@ -140,13 +140,12 @@ class StreamEngine:
 def run(points, config: RunConfig, change_events=()) -> tuple[list, list]:
     """Process a whole stream; returns (trace records, event records).
 
-    ``points`` may be StreamPoints, raw vectors, or an (n, p) array;
-    ``change_events`` are ground-truth 1-based shift indices to log.
+    ``points`` are vectors or an (n, p) array; ``change_events`` are
+    ground-truth 1-based shift indices to log.
     """
     engine = StreamEngine(config)
     change_set = set(int(c) for c in change_events)
-    for pt in points:
-        x = pt.x if hasattr(pt, "x") else pt
+    for x in points:
         n_here = engine.n + 1
         if n_here in change_set:
             engine.events.append(

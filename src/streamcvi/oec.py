@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .core import MembershipVector, PrototypeSet, as_vector
+from .core import MembershipVector, PrototypeSet
 
 @dataclass(frozen=True)
 class OecConfig:
@@ -157,13 +157,19 @@ class OecState:
 
 
 def oec_init(first_points, config: OecConfig) -> OecState:
-    """Build the single starting prototype from the first p+1 stream points."""
-    X = np.stack([as_vector(x) for x in first_points])
+    """Build the single starting prototype from the first p+1 stream points.
+
+    The points were checked when pushed. Their mean and covariance are taken
+    relative to the first point, so a constant warm-up gives exactly that
+    point and 0, not rounding noise.
+    """
+    X = np.array(first_points, dtype=float)
+    if X.ndim != 2 or X.shape[0] != X.shape[1] + 1:
+        raise ValueError(f"initialization needs p+1 points of dimension p, got shape {X.shape}")
     p = X.shape[1]
-    if X.shape[0] != p + 1:
-        raise ValueError(f"initialization needs exactly p+1 = {p + 1} points")
-    m = X.mean(axis=0)
-    cov = np.atleast_2d(np.cov(X, rowvar=False, bias=False))
+    D = X - X[0]
+    m = X[0] + D.mean(axis=0)
+    cov = np.atleast_2d(np.cov(D, rowvar=False, bias=False))
     cov_reg, S_inv, _ = _regularize(cov)
     return OecState(
         m=m[None, :], cov=cov_reg[None], S_inv=S_inv[None],

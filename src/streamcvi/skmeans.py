@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MembershipVector, PrototypeSet, as_vector
+from .core import MembershipVector, PrototypeSet
 
 
 @dataclass(frozen=True)
@@ -28,16 +28,12 @@ class SkMeansState:
 
 
 def skmeans_init(first_k_points) -> SkMeansState:
-    """Seed the k prototypes with the first k stream points."""
-    pts = [as_vector(x) for x in first_k_points]
-    if len(pts) == 0:
-        raise ValueError("need at least one point to initialize")
-    p = pts[0].shape[0]
-    for x in pts:
-        if x.shape[0] != p:
-            raise ValueError("initialization points have mixed dimensions")
-    V = np.stack(pts)
-    return SkMeansState(V=V, counts=np.ones(len(pts), dtype=np.int64))
+    """Seed the k prototypes with the first k stream points, which were
+    checked when pushed."""
+    V = np.array(first_k_points, dtype=float)  # mixed dimensions raise here
+    if V.ndim != 2 or V.shape[0] == 0:
+        raise ValueError(f"initialization needs k >= 1 points of dimension p, got shape {V.shape}")
+    return SkMeansState(V=V, counts=np.ones(V.shape[0], dtype=np.int64))
 
 
 def skmeans_step(state: SkMeansState, x_new):

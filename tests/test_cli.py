@@ -33,6 +33,21 @@ k = 2
 input = {input_path}
 features = 0,1
 algorithm = oec
+
+[s1-default-seed]
+dataset = s1
+indices = xb
+
+[bad-k]
+dataset = s3
+k = two
+
+[bad-algorithm]
+dataset = s3
+algorithm = dbscan
+
+[bad-dataset]
+dataset = s9
 """
 
 
@@ -122,16 +137,20 @@ class TestRun:
         assert code == 1
         assert "oec clusterer failed at n=4" in capsys.readouterr().err
 
-    def test_cli_overrides_take_precedence(self, tmp_path, scenario_file):
-        main([
-            "run", "tiny-skmeans",
-            "--scenario-file", str(scenario_file),
-            "--out", str(tmp_path / "res"),
-            "--k", "2", "--indices", "xb",
-        ])
-        trace = read_trace(tmp_path / "res" / "tiny-skmeans.trace.csv")
-        assert all(r.k == 2 for r in trace)
-        assert all(r.values["xb_lambda"] is None for r in trace)  # column empty
+    def test_dataset_without_seed_uses_its_default_seed(self, tmp_path, scenario_file):
+        # as `generate` does: s1's default seed gives the reference 1955 points
+        assert main(["run", "s1-default-seed", "--scenario-file", str(scenario_file),
+                     "--out", str(tmp_path / "res")]) == 0
+        trace = read_trace(tmp_path / "res" / "s1-default-seed.trace.csv")
+        assert trace[-1].n == 1955
+
+    @pytest.mark.parametrize("name", ["bad-k", "bad-algorithm", "bad-dataset"])
+    def test_bad_scenario_value_is_soft_error(self, tmp_path, scenario_file, capsys, name):
+        code = main(["run", name, "--scenario-file", str(scenario_file),
+                     "--out", str(tmp_path / "res")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"scenario {name}: ")
+        assert not (tmp_path / "res").exists()
 
 
 class TestVerify:

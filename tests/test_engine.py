@@ -160,15 +160,15 @@ class TestTraceSemantics:
         config = RunConfig(algorithm="skmeans", k=2, indices=INDEX_FAMILIES, lam=0.9)
         trace, _ = run(X, config)
         assert_matches_direct(trace, X, config, (1, 2, 30, 117, 118))
-        # the s1 time series (its scenario's seed), around every regime change
-        stream = gen_s1(1422)
-        X = stream.X()
-        config = RunConfig(algorithm="skmeans", k=2, indices=INDEX_FAMILIES, lam=0.9)
-        trace, _ = run(X, config)
-        n0 = config.k
-        changes = {c - n0 + d for c in stream.change_events for d in (0, 1)}
-        assert changes
-        assert_matches_direct(trace, X, config, sorted(changes | {1, 2, len(trace)}))
+        # the three scenario streams with their sk-means k, at every
+        # ground-truth change and the step after it
+        for stream, k in ((gen_s1(1422), 2), (gen_s2(0), 11), (gen_s3(0), 10)):
+            X = stream.X()
+            config = RunConfig(algorithm="skmeans", k=k, indices=INDEX_FAMILIES, lam=0.9)
+            trace, _ = run(X, config)
+            changes = {c - k + d for c in stream.change_events for d in (0, 1)}
+            assert changes
+            assert_matches_direct(trace, X, config, sorted(changes | {1, 2, len(trace)}))
 
     def test_oec_births_match_batch_oracle(self):
         # every cluster birth on s3 and on s2 (the s2-oec scenario, which
@@ -312,17 +312,19 @@ def assert_degenerate_flagged(X, config):
 
 class TestDegenerateInput:
     @settings(max_examples=60, deadline=None)
-    @given(st.floats(-1e150, 1e150), st.sampled_from([1, 2, 3]),
+    @given(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([1, 2, 3]),
            st.sampled_from(DEGENERATE_CONFIGS), st.integers(6, 50))
     def test_constant_stream_is_undefined_throughout(self, c, p, config, n):
-        # sk-means centers all sit on c, so they coincide at every step
-        trace = assert_degenerate_flagged(np.full((n, p), c), config)
+        # sk-means centers all sit on c, so they coincide at every step;
+        # near 1.8e308 the one-sum finiteness test overflows before its
+        # entry-by-entry confirmation
+        with np.errstate(over="ignore"):
+            trace = assert_degenerate_flagged(np.full((n, p), c), config)
         if config.algorithm == "oec":
-            # one cluster throughout, so DB is undefined; XB's separation is
-            # the distance from the warm-up mean to c, 0 unless the mean
-            # rounds off c
+            # one cluster throughout, so DB is undefined; the warm-up mean is
+            # exactly c, so XB's separation is 0 and XB is undefined too
             assert all(r.k == 1 for r in trace)
-            assert all(r.values[f] is None for r in trace for f in ("db", "db_lambda"))
+            assert all(v is None for r in trace for v in r.values.values())
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([1, 2, 3]), st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=6),
