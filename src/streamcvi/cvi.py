@@ -134,8 +134,8 @@ class IndexSet:
                 L = acc.C / np.maximum(ro.db_floor, acc.M)
                 # The diagonal reads (L_i + L_i) / inf = 0, never above the
                 # row's off-diagonal ratios (all >= 0), so it needs no mask.
-                worst = ((L[:, :, None] + L[:, None, :]) / gaps).max(axis=2)
-                db = [total / k for total in worst.sum(axis=1).tolist()]
+                worst = np.maximum.reduce((L[:, :, None] + L[:, None, :]) / gaps, axis=2)
+                db = [total / k for total in np.add.reduce(worst, axis=1).tolist()]
         else:
             d = V_new[0] - x
             h = max(self.h, float(d @ d))

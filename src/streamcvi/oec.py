@@ -10,6 +10,10 @@ stabilization period, a new cluster is spawned from it.
 This is deliberately a reduced algorithm: no merging, no guard-zone geometry
 beyond the outlier ellipsoid. The clustering interface (step in, memberships
 and center snapshots out) isolates it so a richer clusterer can be swapped in.
+
+scipy is needed only for the chi-squared quantile of the outlier boundary, so
+it is imported when the first OEC state is built, not with this module:
+sequential k-means runs load numpy and the standard library alone.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .core import MembershipVector, PrototypeSet
 
@@ -42,8 +45,11 @@ def chi2_inverse(p_dof: int, gamma: float) -> float:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
     if p_dof < 1:
         raise ValueError("degrees of freedom must be a positive integer")
-    # scipy.stats.chi2.ppf computes this same expression; importing
-    # scipy.special alone keeps scipy.stats out of the engine's import time.
+    # scipy.stats.chi2.ppf computes this same expression. scipy.special is
+    # imported here, on the first call (from oec_init), so that importing
+    # streamcvi and running sequential k-means never load scipy.
+    from scipy import special
+
     return float(2.0 * special.gammaincinv(p_dof / 2, gamma))
 
 
@@ -52,7 +58,7 @@ def mahalanobis_sq(x: np.ndarray, m: np.ndarray, S_inv: np.ndarray) -> np.ndarra
     (k, p) means and (k, p, p) inverse covariances."""
     D = x - m
     F = np.einsum("ij,ijk,ik->i", D, S_inv, D)
-    if (F < 0.0).any():
+    if np.minimum.reduce(F) < 0.0:
         raise RuntimeError(
             f"negative Mahalanobis distance ({F.min():.3e}): inverse covariance lost "
             "positive-definiteness"

@@ -46,13 +46,14 @@ def skmeans_step(state: SkMeansState, x_new):
     x = np.asarray(x_new, dtype=float)
     if x.shape != (state.p,):
         raise ValueError(f"expected a ({state.p},) vector, got shape {x.shape}")
-    d2 = np.sum((state.V - x) ** 2, axis=1)
+    d = state.V - x
+    d2 = np.add.reduce(d * d, axis=1)
     # The largest distance is finite only if all k are (max propagates nan),
     # so this also rejects a non-finite x. An overflowed distance would
     # otherwise tie at inf and send the point to cluster 0.
     if not math.isfinite(float(np.maximum.reduce(d2))):
         raise ValueError("squared distances to the prototypes are not finite")
-    m = int(np.argmin(d2))  # argmin takes the first minimum: lowest index wins
+    m = int(d2.argmin())  # argmin takes the first minimum: lowest index wins
     counts = state.counts.copy()
     counts[m] += 1
     V = state.V.copy()

@@ -106,9 +106,9 @@ class TestAsVector:
             as_vector(bad)
 
     def test_finite_vector_whose_sum_overflows_accepted(self):
-        # the fast test sums the entries; an overflowed sum is confirmed
-        # entry by entry instead of rejecting finite coordinates
-        with np.errstate(over="ignore"):
+        # the entries' sum overflows; the test must neither reject finite
+        # coordinates nor raise a floating-point fault on the way
+        with np.errstate(all="raise"):
             v = as_vector([1e308, 1e308])
         assert np.array_equal(v, [1e308, 1e308])
 

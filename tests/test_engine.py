@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamcvi.core import pairwise_sq_distances
@@ -314,11 +314,14 @@ class TestDegenerateInput:
     @settings(max_examples=60, deadline=None)
     @given(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([1, 2, 3]),
            st.sampled_from(DEGENERATE_CONFIGS), st.integers(6, 50))
+    @example(1.7e308, 2, RunConfig(k=2), 20)
+    @example(1.7e308, 2, RunConfig(k=5), 20)
+    @example(1.7e308, 2, RunConfig(algorithm="oec"), 20)
     def test_constant_stream_is_undefined_throughout(self, c, p, config, n):
-        # sk-means centers all sit on c, so they coincide at every step;
-        # near 1.8e308 the one-sum finiteness test overflows before its
-        # entry-by-entry confirmation
-        with np.errstate(over="ignore"):
+        # sk-means centers all sit on c, so they coincide at every step. No
+        # floating-point fault is expected either: near 1.8e308 the entries
+        # of a point sum past the largest float, and checking them must not.
+        with np.errstate(all="raise"):
             trace = assert_degenerate_flagged(np.full((n, p), c), config)
         if config.algorithm == "oec":
             # one cluster throughout, so DB is undefined; the warm-up mean is

@@ -78,13 +78,29 @@ class TestChi2Inverse:
             for gamma in (0.01, 0.5, 0.9, 0.99, 0.999, 0.9999):
                 assert chi2_inverse(p_dof, gamma) == float(stats.chi2.ppf(gamma, df=p_dof))
 
-    def test_engine_import_leaves_scipy_stats_out(self):
-        # scipy.stats dominates the engine's import time when it is loaded
+    def test_scipy_loaded_only_when_oec_starts(self, tmp_path):
+        # importing scipy dominates the engine's start-up time and memory, and
+        # only OEC's outlier boundary needs it
         src = str(Path(streamcvi.__file__).resolve().parents[1])
-        code = "import sys, streamcvi.engine; print('scipy.stats' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.strip() == "False"
+        code = """\
+import sys
+import numpy as np
+import streamcvi
+from streamcvi.cli import main
+from streamcvi.engine import RunConfig, run
+loaded = ['scipy' in sys.modules]
+X = np.random.default_rng(0).normal(size=(40, 2))
+run(X, RunConfig(k=3))
+loaded.append('scipy' in sys.modules)
+assert main(['run', 's1-skmeans', '--out', sys.argv[1]]) == 0
+loaded.append('scipy' in sys.modules)
+run(X, RunConfig(algorithm='oec'))
+loaded.append('scipy.special' in sys.modules)
+print(loaded)
+"""
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.splitlines()[-1] == "[False, False, False, True]"
 
 
 class TestMahalanobis:
