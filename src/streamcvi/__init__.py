@@ -8,7 +8,7 @@ ellipsoidal clusterer.
 
 from .core import MembershipVector, PrototypeSet, StreamPoint
 from .cvi import INDEX_FAMILIES, IndexSet
-from .dispersion import Accumulators, new_accumulators, update_dispersion
+from .dispersion import update_dispersion
 from .engine import RunConfig, StreamEngine, run
 from .oec import OecConfig, chi2_inverse, mahalanobis_sq, oec_init, oec_membership, oec_step
 from .skmeans import SkMeansState, skmeans_init, skmeans_step

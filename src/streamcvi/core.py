@@ -17,10 +17,10 @@ def all_finite(v: np.ndarray) -> bool:
 
 
 def as_vector(x) -> np.ndarray:
-    """Coerce to a finite 1-d float array."""
+    """Coerce to a finite, non-empty 1-d float array."""
     v = np.asarray(x, dtype=float)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got shape {v.shape}")
+    if v.ndim != 1 or v.shape[0] == 0:
+        raise ValueError(f"expected a non-empty 1-d vector, got shape {v.shape}")
     if not all_finite(v):
         raise ValueError("vector has non-finite coordinates")
     return v

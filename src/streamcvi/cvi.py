@@ -9,9 +9,10 @@ produced by an online clusterer:
     db_lambda : same with L_i = C_lam_i / max(1, M_lam_i)
 
 Every variant is a read-out of per-cluster accumulators (C, G, M): xb and db
-read the lam=1 row, xb_lambda and db_lambda the lam row. An IndexSet keeps
-one stacked Accumulators value with a row for each forgetting factor its
-families need, so at most two, and reads every DB variant in one pass.
+read the lam=1 row, xb_lambda and db_lambda the lam row. An IndexSet holds
+the (C, G, M) arrays with a row for each forgetting factor its families
+need, so at most two, advances them with dispersion.update_dispersion and
+reads every DB variant in one pass.
 
 Both indices are min-optimal. An undefined value (coincident centers, a
 single cluster for DB, or a non-finite read-out) is None, never raised: the
@@ -28,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import pairwise_sq_distances
-from .dispersion import Accumulators, grow, new_accumulators, per_row, update_dispersion
+from .dispersion import per_row, update_dispersion
 
 log = logging.getLogger(__name__)
 
@@ -78,17 +79,23 @@ class _Readout:
 class IndexSet:
     """State of every enabled index family: one immutable value per stream point.
 
-    ``accumulators`` holds one row per forgetting factor: lam=1 (xb, db)
-    first, then lam (xb_lambda, db_lambda), each only if a family reads it.
+    ``C``, ``G`` and ``M`` hold one row per forgetting factor in ``lam``:
+    lam=1 (xb, db) first, then lam (xb_lambda, db_lambda), each only if a
+    family reads it. A step returns new arrays and never writes into these.
     ``h`` is the XB separation of the last step: the minimum squared center
-    gap, or while k == 1 the running max of ||v_1 - x||^2.
+    gap, or while k == 1 the running max of ||v_1 - x||^2. ``clamped`` names
+    the factor of every row whose dispersion the last step clamped to 0.
     """
 
     families: tuple[str, ...]
-    accumulators: Accumulators
+    lam: tuple[float, ...]
+    C: np.ndarray  # (s, k) dispersion
+    G: np.ndarray  # (s, k, p) membership-weighted offsets from the center
+    M: np.ndarray  # (s, k) accumulated squared membership
     h: float
     n: int
     readout: _Readout
+    clamped: tuple[float, ...] = ()
 
     @classmethod
     def start(cls, families, k: int, p: int, lam: float = 1.0,
@@ -96,9 +103,11 @@ class IndexSet:
         """Fresh state after ``n0`` warm-up points; each cluster starts with
         the warm-up count as its membership mass."""
         families = check_families(families, lam)
+        if n0 < 0:
+            raise ValueError(f"warm-up count must be nonnegative, got {n0}")
         forgetting = any(fam.endswith("_lambda") for fam in families)
         plain = any(not fam.endswith("_lambda") for fam in families)
-        lams = tuple(f for f, used in ((1.0, plain), (lam, forgetting)) if used)
+        lams = tuple(float(f) for f, used in ((1.0, plain), (lam, forgetting)) if used)
         readout = _Readout(
             rows=tuple(lams.index(lam if fam.endswith("_lambda") else 1.0)
                        for fam in families),
@@ -108,10 +117,12 @@ class IndexSet:
             db_floor=per_row([1.0 if f < 1.0 else _EMPTY_CLUSTER_FLOOR for f in lams])
             if any(fam.startswith("db") for fam in families) else None,
         )
-        return cls(families, new_accumulators(k, p, lam=lams, M0=float(n0)), 0.0, n0, readout)
+        s = len(lams)
+        return cls(families, lams, np.zeros((s, k)), np.zeros((s, k, p)),
+                   np.full((s, k), float(n0)), 0.0, n0, readout)
 
     def float_count(self) -> int:
-        return 2 + self.accumulators.float_count()  # + h, n
+        return self.C.size + self.G.size + self.M.size + 2  # + h, n
 
     def step(self, V_old: np.ndarray, V_new: np.ndarray, u: np.ndarray,
              x: np.ndarray) -> tuple["IndexSet", dict[str, float | None]]:
@@ -121,7 +132,14 @@ class IndexSet:
         this step (k above the current count) get empty accumulators first.
         Every array must be finite; nothing here re-checks them."""
         k = V_new.shape[0]
-        acc = update_dispersion(grow(self.accumulators, k), V_old, V_new, u, x)
+        C, G, M = self.C, self.G, self.M
+        born = k - C.shape[1]
+        if born > 0:
+            s, _, p = G.shape
+            C = np.concatenate([C, np.zeros((s, born))], axis=1)
+            G = np.concatenate([G, np.zeros((s, born, p))], axis=1)
+            M = np.concatenate([M, np.zeros((s, born))], axis=1)
+        C, G, M, clamped = update_dispersion(C, G, M, self.lam, V_old, V_new, u, x)
         n = self.n + 1
         ro = self.readout
         db = None
@@ -131,7 +149,7 @@ class IndexSet:
             if h <= 0.0:
                 log.debug("XB and DB undefined at n=%d: coincident centers", n)
             elif ro.db_floor is not None:
-                L = acc.C / np.maximum(ro.db_floor, acc.M)
+                L = C / np.maximum(ro.db_floor, M)
                 # The diagonal reads (L_i + L_i) / inf = 0, never above the
                 # row's off-diagonal ratios (all >= 0), so it needs no mask.
                 worst = np.maximum.reduce((L[:, :, None] + L[:, None, :]) / gaps, axis=2)
@@ -140,7 +158,7 @@ class IndexSet:
             d = V_new[0] - x
             h = max(self.h, float(d @ d))
         if ro.xb:
-            J = list(map(sum, acc.C.tolist()))
+            J = list(map(sum, C.tolist()))
         values = {}
         for fam, row in zip(self.families, ro.rows):
             if fam.startswith("xb"):
@@ -152,4 +170,4 @@ class IndexSet:
                 value = math.nan if db is None else db[row]
             # Overflow in the accumulators reads out as inf or nan: undefined.
             values[fam] = value if math.isfinite(value) else None
-        return IndexSet(self.families, acc, h, n, ro), values
+        return IndexSet(self.families, self.lam, C, G, M, h, n, ro, clamped), values

@@ -115,7 +115,7 @@ class StreamEngine:
             self.events.append(EventRecord(n=self._n, kind=kind, detail=detail))
 
         self._indices, values = self._indices.step(V_old, V_new, u, x)
-        clamped = self._indices.accumulators.clamped
+        clamped = self._indices.clamped
         if clamped:
             self.events.append(EventRecord(
                 n=self._n, kind="dispersion_clamped",

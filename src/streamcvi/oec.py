@@ -123,11 +123,6 @@ class _ForgetfulStats:
         S_new = lam * self.S + (lam * self.W / W_new) * np.outer(d, d)
         return _ForgetfulStats(m=m_new, S=S_new, W=W_new)
 
-    def covariance(self) -> np.ndarray:
-        if self.W <= 1.0:
-            return np.eye(self.m.shape[0])
-        return self.S / self.W
-
 
 @dataclass(frozen=True)
 class OecState:
@@ -235,7 +230,8 @@ def oec_step(state: OecState, x_new, config: OecConfig):
         outside_all = (mahalanobis_sq(forget.m, m, S_inv) > state.chi2_out).all()
         streak = state.outside_streak + 1 if outside_all else 0
         if streak >= config.n_s:
-            cov_b, S_inv_b, reg = _regularize(forget.covariance())
+            # forget was just updated from W >= 1, so its mass W exceeds 1.
+            cov_b, S_inv_b, reg = _regularize(forget.S / forget.W)
             m = np.vstack([m, forget.m])
             cov = np.concatenate([cov, cov_b[None]])
             S_inv = np.concatenate([S_inv, S_inv_b[None]])

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import pairwise_sq_distances
 from .cvi import IndexSet
-from .dispersion import new_accumulators, update_dispersion
+from .dispersion import update_dispersion
 
 REL_TOL = 1e-8
 
@@ -150,22 +150,24 @@ def lambda_one_consistency(seed: int, n=200, k=3, p=2) -> float:
     rng = np.random.default_rng(seed)
     X, U, Vs = random_stream(rng, n, k, p)
     U = np.clip(U, 0.0, 1.0)
-    whole = new_accumulators(k, p, lam=lam)
-    rows = [[new_accumulators(1, p, lam=(f,)) for _ in range(k)] for f in lam]
+    C, G, M = np.zeros((2, k)), np.zeros((2, k, p)), np.zeros((2, k))
+    one_row = np.zeros((1, 1)), np.zeros((1, 1, p)), np.zeros((1, 1))
+    rows = {(r, i): one_row for r in range(2) for i in range(k)}
     worst = 0.0
     for t in range(1, n + 1):
-        whole = update_dispersion(whole, Vs[t - 1], Vs[t], U[t - 1], X[t - 1])
-        for r in range(len(lam)):
+        C, G, M, _ = update_dispersion(C, G, M, lam, Vs[t - 1], Vs[t], U[t - 1], X[t - 1])
+        for r, f in enumerate(lam):
             for i in range(k):
                 cut = slice(i, i + 1)
-                one = rows[r][i] = update_dispersion(
-                    rows[r][i], Vs[t - 1][cut], Vs[t][cut], U[t - 1][cut], X[t - 1]
+                c, g, m, _ = update_dispersion(
+                    *rows[r, i], (f,), Vs[t - 1][cut], Vs[t][cut], U[t - 1][cut], X[t - 1]
                 )
+                rows[r, i] = c, g, m
                 worst = max(
                     worst,
-                    abs(whole.C[r, i] - one.C[0, 0]),
-                    abs(whole.M[r, i] - one.M[0, 0]),
-                    float(np.max(np.abs(whole.G[r, i] - one.G[0, 0]))),
+                    abs(C[r, i] - c[0, 0]),
+                    abs(M[r, i] - m[0, 0]),
+                    float(np.max(np.abs(G[r, i] - g[0, 0]))),
                 )
     return worst
 

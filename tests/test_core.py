@@ -115,3 +115,5 @@ class TestAsVector:
     def test_not_one_dimensional_rejected(self):
         with pytest.raises(ValueError, match="1-d"):
             as_vector([[1.0, 2.0]])
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            as_vector([])

@@ -56,7 +56,7 @@ class TestXbUpdate:
         # J = 4*1 + 1*4 = 8 ... compute expected directly instead
         hist = [([1.0, 0.0], [1.0, 0.0])] * 4 + [([0.0, 0.0], [0.0, 1.0])]
         assert val == pytest.approx(oracle("xb", *hist_arrays(hist), V), rel=1e-12)
-        assert state.n == 5 and state.accumulators.k == 2
+        assert state.n == 5 and state.C.shape == (1, 2)
 
     def test_k1_running_max(self):
         state = IndexSet.start(("xb",), 1, 2)
@@ -231,11 +231,11 @@ class TestIndexProperties:
 class TestIndexSet:
     def test_one_accumulator_set_per_forgetting_factor(self):
         both = IndexSet.start(INDEX_FAMILIES, 3, 2, lam=0.9)
-        assert both.accumulators.lam == (1.0, 0.9)
-        assert both.accumulators.G.shape == (2, 3, 2)
+        assert both.lam == (1.0, 0.9)
+        assert both.G.shape == (2, 3, 2)
         assert both.float_count() == 2 + 2 * 3 * (2 + 2)
-        assert IndexSet.start(("xb", "db"), 3, 2).accumulators.lam == (1.0,)
-        only = IndexSet.start(("db_lambda",), 3, 2, lam=0.5).accumulators
+        assert IndexSet.start(("xb", "db"), 3, 2).lam == (1.0,)
+        only = IndexSet.start(("db_lambda",), 3, 2, lam=0.5)
         assert only.lam == (0.5,) and only.C.shape == (1, 3)
 
     def test_bad_families_and_lambda_rejected(self):
@@ -268,12 +268,26 @@ class TestIndexSet:
         V2 = np.array([[0.0, 0.0], [5.0, 0.0]])
         u = np.array([1.0, 0.0])  # newborn padded with u = 0
         state, values = state.step(V2, V2, u, np.array([0.0, 1.0]))
-        acc = state.accumulators
-        assert acc.lam == (1.0, 0.9) and acc.k == 2 and state.n == 5
-        assert np.array_equal(acc.M, [[3.0 + 1.0 + 1.0, 0.0],
-                                      [(0.9 * 3.0 + 1.0) * 0.9 + 1.0, 0.0]])
-        assert np.array_equal(acc.C[0], [2.0, 0.0])
+        assert state.lam == (1.0, 0.9) and state.C.shape == (2, 2) and state.n == 5
+        assert np.array_equal(state.M, [[3.0 + 1.0 + 1.0, 0.0],
+                                        [(0.9 * 3.0 + 1.0) * 0.9 + 1.0, 0.0]])
+        assert np.array_equal(state.C[0], [2.0, 0.0])
         assert values["xb"] == pytest.approx(2.0 / (5 * 25.0))
         assert values["db_lambda"] is not None
         with pytest.raises(ValueError):  # clusters never disappear
             state.step(V1, V1, np.ones(1), np.zeros(2))
+
+    def test_newborn_rows_start_empty(self):
+        # every row gains zero columns for the two newborns; a step with zero
+        # memberships and still centers then only decays the lam row
+        state = IndexSet.start(("xb", "xb_lambda"), 1, 2, lam=0.9, n0=5)
+        V1 = np.zeros((1, 2))
+        state, _ = state.step(V1, V1, np.ones(1), np.array([3.0, 4.0]))
+        V3 = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
+        state, _ = state.step(V3, V3, np.zeros(3), np.zeros(2))
+        assert state.lam == (1.0, 0.9)
+        assert np.array_equal(state.C, [[25.0, 0.0, 0.0], [0.9 * 25.0, 0.0, 0.0]])
+        assert np.array_equal(state.G, [[[3.0, 4.0], [0.0, 0.0], [0.0, 0.0]],
+                                        [[0.9 * 3.0, 0.9 * 4.0], [0.0, 0.0], [0.0, 0.0]]])
+        assert np.array_equal(state.M, [[5.0 + 1.0, 0.0, 0.0],
+                                        [0.9 * (0.9 * 5.0 + 1.0), 0.0, 0.0]])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -8,9 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamcvi.core import pairwise_sq_distances
-from streamcvi.cvi import INDEX_FAMILIES
+from streamcvi.cvi import INDEX_FAMILIES, IndexSet
 from streamcvi.datagen import gen_s1, gen_s2, gen_s3
-from streamcvi.dispersion import Accumulators
 from streamcvi.engine import ClustererError, RunConfig, StreamEngine, run
 from streamcvi.oec import oec_init, oec_step
 from streamcvi.skmeans import skmeans_init, skmeans_step
@@ -127,8 +127,8 @@ class TestInitModes:
             engine.push(x)
         state = engine._indices
         assert state.n == 4
-        assert state.accumulators.lam == (1.0, 0.9)
-        assert np.array_equal(state.accumulators.M, [[4.0], [4.0]])
+        assert state.lam == (1.0, 0.9)
+        assert np.array_equal(state.M, [[4.0], [4.0]])
 
 
 class TestWarmup:
@@ -150,6 +150,17 @@ class TestWarmup:
     def test_run_rejects_stream_shorter_than_warmup(self):
         with pytest.raises(ValueError, match="warm-up"):
             run(np.zeros((2, 2)), RunConfig(algorithm="skmeans", k=5))
+
+    @pytest.mark.parametrize("algorithm", ["skmeans", "oec"])
+    def test_zero_dimensional_points_rejected_at_first_point(self, algorithm):
+        # a point with no coordinates is refused where it enters, before any
+        # clusterer or index arithmetic can run (and warn) on it
+        engine = StreamEngine(RunConfig(algorithm=algorithm, k=2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-empty 1-d") as info:
+                engine.push(np.zeros(0))
+        assert not isinstance(info.value, ClustererError) and engine.n == 0
 
 
 class TestTraceSemantics:
@@ -270,10 +281,11 @@ class TestTraceSemantics:
         engine.push([0.0, 0.0])
         engine.push([10.0, 0.0])
         state = engine._indices
+        assert state.lam == (1.0, 0.9)
         G = np.zeros((2, 2, 2))
         G[1, 0] = [100.0, 0.0]
-        engine._indices = dataclasses.replace(state, accumulators=Accumulators(
-            C=np.zeros((2, 2)), G=G, M=np.zeros((2, 2)), lam=(1.0, 0.9)))
+        engine._indices = dataclasses.replace(state, C=np.zeros((2, 2)), G=G,
+                                              M=np.zeros((2, 2)))
         engine.push([1.0, 0.0])
         engine.push([10.0, 0.0])  # moves no center: nothing to clamp
         clamps = [e for e in engine.events if e.kind == "dispersion_clamped"]
@@ -417,6 +429,29 @@ class TestImmutableStates:
             state = out[0]
         if algorithm == "oec":
             assert state.k >= 2
+
+    def test_index_step_leaves_earlier_states_unchanged(self):
+        # a snapshot of an index state is a reference, so no step may write
+        # into an earlier state's C, G or M: s3 under OEC has births
+        engine = StreamEngine(RunConfig(algorithm="oec"))
+        prev, frozen = None, None
+        for x in gen_s3(0).X()[:600]:
+            engine.push(x)
+            if prev is not None:
+                assert_same(frozen, snapshot(prev))
+            if engine._indices is not None:
+                prev, frozen = engine._indices, snapshot(engine._indices)
+        assert prev.C.shape[1] >= 2
+
+    def test_clamping_index_step_leaves_earlier_state_unchanged(self):
+        # the hand-built lam row of test_dispersion_clamp_is_logged_once
+        state = IndexSet.start(("xb", "xb_lambda"), 1, 2, lam=0.9)
+        state = dataclasses.replace(state, G=np.array([[[0.0, 0.0]], [[100.0, 0.0]]]))
+        frozen = snapshot(state)
+        out, _ = state.step(np.zeros((1, 2)), np.array([[0.5, 0.0]]), np.ones(1),
+                            np.array([1.0, 0.0]))
+        assert out.clamped == (0.9,)
+        assert_same(frozen, snapshot(state))
 
 
 class TestMemoryFootprint:
