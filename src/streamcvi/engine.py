@@ -36,16 +36,10 @@ class RunConfig:
             raise ValueError("k must be positive")
 
 
-# What a clusterer step raises when it cannot process a point: a non-finite
-# distance, a singular covariance (numpy's LinAlgError is a ValueError), or a
-# Mahalanobis distance that lost definiteness. push raises a ValueError itself
-# when a step returns a non-finite membership or center.
-_CLUSTERER_FAILURES = (ValueError, RuntimeError)
-
-
 class ClustererError(ValueError):
-    """The clusterer failed on a point; names the algorithm and the point's
-    1-based stream index ``n``."""
+    """The clusterer failed on a point: it raised ValueError (a non-finite
+    distance or covariance estimate), or returned a non-finite membership or
+    center. Names the algorithm and the point's 1-based stream index ``n``."""
 
     def __init__(self, algorithm: str, n: int, cause: Exception):
         super().__init__(f"{algorithm} clusterer failed at n={n}: {cause}")
@@ -77,6 +71,9 @@ class StreamEngine:
     def push(self, x) -> TraceRecord | None:
         """Process one point; returns its trace row, or None during warm-up."""
         x = as_vector(x)
+        if self._buffer and x.shape != self._buffer[0].shape:
+            raise ValueError(f"point n={self._n + 1} has dimension {x.size}, but the "
+                             f"first point has dimension {self._buffer[0].size}")
         self._n += 1
         cfg = self.config
         if self._cluster_state is None:
@@ -91,7 +88,7 @@ class StreamEngine:
                 else:
                     self._cluster_state = oec_init(self._buffer, cfg.oec)
                     k0 = 1
-            except _CLUSTERER_FAILURES as exc:
+            except ValueError as exc:
                 raise ClustererError(cfg.algorithm, self._n, exc) from exc
             self._indices = IndexSet.start(cfg.indices, k0, p, lam=cfg.lam, n0=self._n)
             self._buffer = []
@@ -108,7 +105,7 @@ class StreamEngine:
             u, V_old, V_new = u.u, V_old.centers, V_new.centers
             if not (all_finite(u) and all_finite(V_new)):
                 raise ValueError("memberships or centers are not finite")
-        except _CLUSTERER_FAILURES as exc:
+        except ValueError as exc:
             raise ClustererError(cfg.algorithm, self._n, exc) from exc
 
         for kind, detail in step_events:

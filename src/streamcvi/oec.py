@@ -1,6 +1,6 @@
 """Simplified online ellipsoidal clustering.
 
-Each cluster is an ellipsoidal prototype (mean, inverse covariance) with a
+Each cluster is an ellipsoidal prototype (mean, whitening matrix) with a
 chi-squared Mahalanobis outlier boundary. Soft memberships come from the
 fuzzy k-means formula over squared Mahalanobis distances. A separate
 forgetful prototype tracks the recent stream with exponential decay; when its
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MembershipVector, PrototypeSet
+from .core import MembershipVector, PrototypeSet, all_finite
 
 @dataclass(frozen=True)
 class OecConfig:
@@ -53,17 +53,11 @@ def chi2_inverse(p_dof: int, gamma: float) -> float:
     return float(2.0 * special.gammaincinv(p_dof / 2, gamma))
 
 
-def mahalanobis_sq(x: np.ndarray, m: np.ndarray, S_inv: np.ndarray) -> np.ndarray:
+def mahalanobis_sq(x: np.ndarray, m: np.ndarray, R: np.ndarray) -> np.ndarray:
     """(k,) squared Mahalanobis distances of a (p,) point to k prototypes with
-    (k, p) means and (k, p, p) inverse covariances."""
-    D = x - m
-    F = np.einsum("ij,ijk,ik->i", D, S_inv, D)
-    if np.minimum.reduce(F) < 0.0:
-        raise RuntimeError(
-            f"negative Mahalanobis distance ({F.min():.3e}): inverse covariance lost "
-            "positive-definiteness"
-        )
-    return F
+    (k, p) means and (k, p, p) whitening matrices R: ||R_i (x - m_i)||^2 >= 0."""
+    Z = np.einsum("ijk,ik->ij", R, x - m)
+    return np.einsum("ij,ij->i", Z, Z)
 
 
 def oec_membership(F: np.ndarray) -> np.ndarray:
@@ -77,21 +71,28 @@ def oec_membership(F: np.ndarray) -> np.ndarray:
         u[zero[0]] = 1.0
         return u
     # u_i = [sum_j (F_i / F_j)^2]^-1, computed via inverse squares for stability
+    # after scaling F exactly by a power of two (a subnormal F squares to 0)
+    F = np.ldexp(F, -np.frexp(np.minimum.reduce(F))[1])
     inv2 = 1.0 / (F * F)
     return inv2 / np.sum(inv2)
 
 
-def _regularize(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Invert a covariance estimate, nudging it back to PD when needed.
+def _regularize(cov: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Whitening matrix R = inv(L) of a covariance estimate's Cholesky factor
+    L, so that R^T R = cov^-1, nudging the estimate back to PD when needed.
 
     The pivot floor and the nudge are both relative to the mean variance
     trace/p, so a rank-deficient estimate is caught at any scale. A zero
-    covariance has no scale of its own and becomes 1e-6 * I.
+    covariance has no scale of its own and becomes 1e-6 * I. A non-finite
+    estimate, or one still not PD after 40 nudges, raises ValueError.
     """
     p = cov.shape[0]
     cov = 0.5 * (cov + cov.T)
     regularized = False
     for _ in range(40):
+        # also catches an estimate that overflows when symmetrized or nudged
+        if not all_finite(cov):
+            raise ValueError("covariance estimate is not finite")
         scale = np.trace(cov) / p
         if not scale > 0.0:
             scale = 1.0
@@ -103,9 +104,9 @@ def _regularize(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
             pass
         cov = cov + 1e-6 * scale * np.eye(p)
         regularized = True
-    S_inv = np.linalg.inv(cov)
-    S_inv = 0.5 * (S_inv + S_inv.T)
-    return cov, S_inv, regularized
+    else:
+        raise ValueError("covariance estimate is not positive definite after 40 nudges")
+    return np.linalg.inv(L), regularized
 
 
 @dataclass(frozen=True)
@@ -133,8 +134,7 @@ class OecState:
     """
 
     m: np.ndarray        # (k, p) means
-    cov: np.ndarray      # (k, p, p) maintained covariance estimates
-    S_inv: np.ndarray    # (k, p, p) inverse covariances used for distances
+    R: np.ndarray        # (k, p, p) whitening matrices, R_i^T R_i = cov_i^-1
     count: np.ndarray    # (k,) points won, init included
     W: np.ndarray        # (k,) accumulated membership mass
     forget: _ForgetfulStats
@@ -153,7 +153,7 @@ class OecState:
         return PrototypeSet(self.m)
 
     def float_count(self) -> int:
-        rows = self.m.size + self.cov.size + self.S_inv.size + self.count.size + self.W.size
+        rows = self.m.size + self.R.size + self.count.size + self.W.size
         return rows + self.forget.m.size + self.forget.S.size + 1
 
 
@@ -171,9 +171,9 @@ def oec_init(first_points, config: OecConfig) -> OecState:
     D = X - X[0]
     m = X[0] + D.mean(axis=0)
     cov = np.atleast_2d(np.cov(D, rowvar=False, bias=False))
-    cov_reg, S_inv, _ = _regularize(cov)
+    R, _ = _regularize(cov)
     return OecState(
-        m=m[None, :], cov=cov_reg[None], S_inv=S_inv[None],
+        m=m[None, :], R=R[None],
         count=np.array([p + 1]), W=np.array([float(p + 1)]),
         forget=_ForgetfulStats(m=m.copy(), S=cov * (p + 1), W=float(p + 1)),
         chi2_out=chi2_inverse(p, config.gamma_out),
@@ -192,7 +192,7 @@ def oec_step(state: OecState, x_new, config: OecConfig):
         raise ValueError(f"expected a ({state.p},) vector, got shape {x.shape}")
     events: list[tuple[str, str]] = []
 
-    F = mahalanobis_sq(x, state.m, state.S_inv)
+    F = mahalanobis_sq(x, state.m, state.R)
     u = oec_membership(F)
     winner = int(np.argmax(u))
 
@@ -204,22 +204,22 @@ def oec_step(state: OecState, x_new, config: OecConfig):
         count = count.copy()
         count[winner] += 1
 
-    m, cov, S_inv, W = state.m, state.cov, state.S_inv, state.W
+    m, R, W = state.m, state.R, state.W
     rows = np.flatnonzero(~shielded & (u > 0.0))
     if rows.size:
-        m, cov, S_inv, W = m.copy(), cov.copy(), S_inv.copy(), W.copy()
+        m, R, W = m.copy(), R.copy(), W.copy()
     for i in rows:
-        # Membership-weighted recursive mean/covariance update; the scatter
-        # sum is implied by the stored covariance.
+        # Membership-weighted update of mean and covariance, cov' = (W/W') (cov
+        # + (u/W') d d^T), made on R by Sherman-Morrison: a positive rank-one
+        # update, so R^T R stays positive definite.
         ui = u[i]
         W_new = W[i] + ui
         d = x - m[i]
         m[i] = m[i] + (ui / W_new) * d
-        S_new = cov[i] * W[i] + ui * (W[i] / W_new) * np.outer(d, d)
-        cov[i], S_inv[i], reg = _regularize(S_new / W_new)
+        w = np.sqrt(ui / W_new) * (R[i] @ d)
+        r = np.sqrt(1.0 + w @ w)
+        R[i] = (R[i] - np.outer(w / (r * (r + 1.0)), w @ R[i])) * np.sqrt(W_new / W[i])
         W[i] = W_new
-        if reg:
-            events.append(("covariance_regularized", f"cluster {i}"))
 
     forget = state.forget.updated(x, config.lambda_oec)
 
@@ -227,14 +227,13 @@ def oec_step(state: OecState, x_new, config: OecConfig):
     streak = 0
     created = False
     if (count >= config.n_s).all():
-        outside_all = (mahalanobis_sq(forget.m, m, S_inv) > state.chi2_out).all()
+        outside_all = (mahalanobis_sq(forget.m, m, R) > state.chi2_out).all()
         streak = state.outside_streak + 1 if outside_all else 0
         if streak >= config.n_s:
             # forget was just updated from W >= 1, so its mass W exceeds 1.
-            cov_b, S_inv_b, reg = _regularize(forget.S / forget.W)
+            R_b, reg = _regularize(forget.S / forget.W)
             m = np.vstack([m, forget.m])
-            cov = np.concatenate([cov, cov_b[None]])
-            S_inv = np.concatenate([S_inv, S_inv_b[None]])
+            R = np.concatenate([R, R_b[None]])
             count = np.append(count, state.p + 1)
             W = np.append(W, float(state.p + 1))
             if reg:
@@ -245,7 +244,7 @@ def oec_step(state: OecState, x_new, config: OecConfig):
             forget = _ForgetfulStats(m=x.copy(), S=np.zeros((state.p, state.p)), W=1.0)
 
     new_state = OecState(
-        m=m, cov=cov, S_inv=S_inv, count=count, W=W,
+        m=m, R=R, count=count, W=W,
         forget=forget, outside_streak=streak, chi2_out=state.chi2_out,
     )
     V_old = state.m

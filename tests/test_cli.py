@@ -124,7 +124,7 @@ class TestRun:
         assert "needs-input" in capsys.readouterr().err
 
     def test_clusterer_failure_is_soft_error(self, tmp_path, scenario_file, capsys):
-        # squared Mahalanobis distances of these points overflow
+        # the warm-up covariance of these points overflows
         (tmp_path / "in.csv").write_text(
             "".join(f"{x!r},{y!r}\n" for x, y in (gen_s3(0).X()[:20] * 1e200).tolist())
         )
@@ -135,7 +135,7 @@ class TestRun:
                 "--out", str(tmp_path / "res"),
             ])
         assert code == 1
-        assert "oec clusterer failed at n=4" in capsys.readouterr().err
+        assert "oec clusterer failed at n=3" in capsys.readouterr().err
 
     def test_dataset_without_seed_uses_its_default_seed(self, tmp_path, scenario_file):
         # as `generate` does: s1's default seed gives the reference 1955 points

@@ -162,6 +162,19 @@ class TestWarmup:
                 engine.push(np.zeros(0))
         assert not isinstance(info.value, ClustererError) and engine.n == 0
 
+    @pytest.mark.parametrize("algorithm", ["skmeans", "oec"])
+    def test_warmup_point_of_another_dimension_rejected(self, algorithm):
+        # the first point fixes p; a later warm-up point of another dimension
+        # is refused where it enters, not inside the clusterer's init
+        engine = StreamEngine(RunConfig(algorithm=algorithm, k=2))
+        engine.push([0.0, 0.0])
+        with pytest.raises(ValueError, match=r"n=2 has dimension 3.*dimension 2") as info:
+            engine.push([1.0, 0.0, 0.0])
+        assert not isinstance(info.value, ClustererError) and engine.n == 1
+        for x in ([1.0, 0.0], [0.0, 1.0], [1.0, 1.0]):
+            engine.push(x)
+        assert engine.trace[-1].n == 4
+
 
 class TestTraceSemantics:
     def test_single_pass_matches_batch_oracle(self):
@@ -225,15 +238,15 @@ class TestTraceSemantics:
         assert run(X * 2.0 ** e, config) == run(X, config)
 
     def test_clusterer_failure_names_n_and_algorithm(self):
-        # OEC's Mahalanobis distances overflow at its first step on this
-        # stream; the failure must say where, not just what
+        # OEC's warm-up covariance overflows on this stream, at the third
+        # point; the failure must say where, not just what
         X = gen_s3(0).X() * 1e200
         engine = StreamEngine(RunConfig(algorithm="oec"))
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ClustererError, match=r"oec .*n=4") as info:
+            with pytest.raises(ClustererError, match=r"oec .*n=3") as info:
                 for x in X:
                     engine.push(x)
-        assert info.value.n == 4 and info.value.algorithm == "oec"
+        assert info.value.n == 3 and info.value.algorithm == "oec"
         assert isinstance(info.value, ValueError)
 
     def test_skmeans_failure_names_n_and_algorithm(self):
@@ -344,6 +357,10 @@ class TestDegenerateInput:
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from([1, 2, 3]), st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=6),
            st.sampled_from(DEGENERATE_CONFIGS), st.lists(st.booleans(), min_size=6, max_size=50))
+    # OEC's squared distance to the far point is subnormal, and squaring it
+    # in the memberships gave 0 and a division by zero
+    @example(1, [0.0, 1.7257852302346914e-165, 0.0, 0.0, 0.0, 0.0], RunConfig(algorithm="oec"),
+             [False] * 5 + [True])
     def test_two_point_stream_flags_coincident_centers(self, p, coords, config, picks):
         a, b = np.array(coords[:p]), np.array(coords[p:2 * p])
         assert_degenerate_flagged(np.array([b if pick else a for pick in picks]), config)
@@ -476,13 +493,13 @@ class TestMemoryFootprint:
         assert engine.state_float_count() == clusterer + 2 * k * (p + 2) + 2
 
     def test_oec_state_floats(self):
-        # per cluster: mean, covariance, inverse covariance, count, mass; plus
-        # the forgetful mean, scatter and mass, and one lam set for xb_lambda
+        # per cluster: mean, whitening matrix, count, mass; plus the
+        # forgetful mean, scatter and mass, and one lam set for xb_lambda
         X = gen_s3(0).X()
         engine = StreamEngine(RunConfig(algorithm="oec", indices=("xb_lambda",)))
         for x in X:
             engine.push(x)
         k, p = engine.trace[-1].k, X.shape[1]
         assert k >= 2
-        clusterer = k * (p + 2 * p * p + 2) + p + p * p + 1
+        clusterer = k * (p + p * p + 2) + p + p * p + 1
         assert engine.state_float_count() == clusterer + k * (p + 2) + 2

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from streamcvi.oec import (
     OecConfig,
     OecState,
     _ForgetfulStats,
+    _regularize,
     chi2_inverse,
     mahalanobis_sq,
     oec_init,
@@ -24,14 +26,14 @@ from helpers import validate_membership
 
 
 def make_state(ms, S_invs, count=30):
-    """OEC state with one cluster row per (mean, inverse covariance) pair."""
+    """OEC state with one cluster row per (mean, inverse covariance) pair; the
+    whitening matrix R = L^T of S_inv = L L^T has R^T R = S_inv."""
     m = np.array(ms, dtype=float)
     S_inv = np.array(S_invs, dtype=float)
     k, p = m.shape
     return OecState(
         m=m,
-        cov=np.linalg.inv(S_inv),
-        S_inv=S_inv,
+        R=np.linalg.cholesky(S_inv).transpose(0, 2, 1),
         count=np.full(k, count),
         W=np.full(k, float(count)),
         forget=_ForgetfulStats(m=m[0].copy(), S=np.zeros((p, p)), W=1.0),
@@ -40,7 +42,7 @@ def make_state(ms, S_invs, count=30):
 
 
 def membership(x, state):
-    return oec_membership(mahalanobis_sq(np.asarray(x, dtype=float), state.m, state.S_inv))
+    return oec_membership(mahalanobis_sq(np.asarray(x, dtype=float), state.m, state.R))
 
 
 def run_stream(X):
@@ -106,27 +108,28 @@ print(loaded)
 class TestMahalanobis:
     def test_identity_reduces_to_euclidean(self):
         state = make_state([[0.0, 0.0], [1.0, 1.0]], [np.eye(2), np.eye(2)])
-        assert np.allclose(mahalanobis_sq(np.array([3.0, 4.0]), state.m, state.S_inv),
+        assert np.allclose(mahalanobis_sq(np.array([3.0, 4.0]), state.m, state.R),
                            [25.0, 13.0])
 
     def test_hand_expanded_quadratic_form(self):
         # d = (1, 2) against [[2, 0.5], [0.5, 1]]: 2 + 2*0.5*2 + 4 = 8
         state = make_state([[0.0, 0.0], [1.0, 2.0]],
                            [[[2.0, 0.5], [0.5, 1.0]], np.eye(2)])
-        assert np.array_equal(mahalanobis_sq(np.array([1.0, 2.0]), state.m, state.S_inv),
+        assert np.array_equal(mahalanobis_sq(np.array([1.0, 2.0]), state.m, state.R),
                               [8.0, 0.0])
 
     def test_zero_at_mean(self):
         state = make_state([[2.0, -1.0]], [[[2.0, 0.3], [0.3, 1.0]]])
-        assert mahalanobis_sq(np.array([2.0, -1.0]), state.m, state.S_inv)[0] == 0.0
+        assert mahalanobis_sq(np.array([2.0, -1.0]), state.m, state.R)[0] == 0.0
 
     def test_matches_triple_loop(self):
         rng = np.random.default_rng(0)
         k, p = 4, 3
-        S_inv = np.stack([A @ A.T + 0.5 * np.eye(p) for A in rng.normal(size=(k, p, p))])
+        R = rng.normal(size=(k, p, p))
+        S_inv = np.stack([A.T @ A for A in R])
         m = rng.normal(size=(k, p))
         x = rng.normal(size=p)
-        F = mahalanobis_sq(x, m, S_inv)
+        F = mahalanobis_sq(x, m, R)
         assert F.shape == (k,)
         for r in range(k):
             expected = sum(
@@ -135,11 +138,6 @@ class TestMahalanobis:
                 for j in range(p)
             )
             assert F[r] == pytest.approx(expected, rel=1e-12)
-
-    def test_lost_definiteness_raises(self):
-        S_inv = np.stack([np.eye(2), -np.eye(2)])
-        with pytest.raises(RuntimeError, match="negative Mahalanobis"):
-            mahalanobis_sq(np.array([1.0, 0.0]), np.zeros((2, 2)), S_inv)
 
 
 class TestMembership:
@@ -182,7 +180,7 @@ class TestShielding:
         assert new.W[0] == 30.0 + u.u[0] and new.W[1] == 30.0
         assert np.array_equal(V_new.centers[1], [100.0, 0.0])
         assert not np.array_equal(V_new.centers[0], V_old.centers[0])
-        assert np.array_equal(new.cov[1], state.cov[1])
+        assert np.array_equal(new.R[1], state.R[1])
 
     def test_stabilizing_cluster_absorbs_far_point(self):
         state = make_state([[0.0, 0.0]], [np.eye(2)], count=5)
@@ -195,7 +193,7 @@ class TestShielding:
         new, u, _, _, _ = oec_step(state, [50.0, 0.0], OecConfig())
         assert np.array_equal(u.u, [1.0])
         assert np.array_equal(new.count, [30])
-        assert new.m is state.m and new.S_inv is state.S_inv
+        assert new.m is state.m and new.R is state.R
 
 
 class TestOecStep:
@@ -247,9 +245,9 @@ class TestOecStep:
             rng.multivariate_normal([30, 30], np.eye(2), size=300),
         ])
         for state, *_ in run_stream(X):
-            for S_inv in state.S_inv:
-                assert np.allclose(S_inv, S_inv.T, atol=1e-10)
-                np.linalg.cholesky(S_inv)  # raises if not PD
+            for R in state.R:
+                assert np.isfinite(R).all()
+                np.linalg.cholesky(R.T @ R)  # raises if not PD
 
     def test_birth_appends_one_row_to_every_array(self):
         from streamcvi.datagen import gen_s3
@@ -262,8 +260,7 @@ class TestOecStep:
                 births += 1
                 k, p = state.k, state.p
                 assert state.k == prev.k + 1
-                assert state.m.shape == (k, p) and state.cov.shape == (k, p, p)
-                assert state.S_inv.shape == (k, p, p)
+                assert state.m.shape == (k, p) and state.R.shape == (k, p, p)
                 assert state.count.shape == state.W.shape == (k,)
                 assert state.count[-1] == p + 1 and state.W[-1] == p + 1
                 assert np.array_equal(V_old.centers[k - 1], V_new.centers[k - 1])
@@ -280,6 +277,80 @@ class TestOecStep:
         for x in X[1:]:
             stats = stats.updated(x, lam)
         assert np.allclose(stats.m, X.mean(axis=0), atol=1e-6)
+
+
+def rel_err(A, B):
+    return np.linalg.norm(A - B) / np.linalg.norm(B)
+
+
+class TestRegularize:
+    def test_whitens_the_estimate(self):
+        A = np.random.default_rng(8).normal(size=(3, 3))
+        cov = A @ A.T + 0.1 * np.eye(3)
+        R, regularized = _regularize(cov)
+        assert not regularized
+        assert rel_err(R.T @ R, np.linalg.inv(cov)) < 1e-12
+        R, regularized = _regularize(np.zeros((2, 2)))
+        assert regularized and np.array_equal(R, 1e3 * np.eye(2))
+
+    def test_non_finite_estimate_rejected(self):
+        # inf; entries that overflow when symmetrized; and a mean variance
+        # that overflows, so the nudge does. Unchecked, each gave an infinite
+        # Cholesky factor, which passes the pivot floor, and R = 0.
+        for cov in (np.array([[np.inf]]), np.diag([1.7e308, 1.7e308]), np.diag([8e307] * 3)):
+            with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+                _regularize(cov)
+
+    def test_estimate_never_made_positive_definite_rejected(self):
+        # 40 nudges of 1e-6 cannot lift the eigenvalue -1
+        with pytest.raises(ValueError, match="after 40 nudges"):
+            _regularize(np.diag([1.0, -1.0]))
+
+
+class TestWhiteningUpdate:
+    def test_row_update_is_rank_one_covariance_update(self):
+        # both rows are stabilizing (count 5 < n_s), so both take the point;
+        # R'^T R' must be the inverse of a cov + b d d^T with a = W/W' and
+        # b = u W / W'^2
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            k, p = 2, int(rng.integers(1, 5))
+            A = rng.normal(size=(k, p, p))
+            cov = A @ A.transpose(0, 2, 1) + 0.1 * np.eye(p)
+            state = dataclasses.replace(
+                make_state(rng.normal(size=(k, p)), np.linalg.inv(cov), count=5),
+                W=rng.uniform(p + 1.0, 500.0, size=k),
+            )
+            x = state.m[0] + rng.normal(size=p) * 3.0
+            new, u, *_ = oec_step(state, x, OecConfig())
+            for i in range(k):
+                W, W_new = state.W[i], new.W[i]
+                assert W_new == W + u.u[i]
+                d = x - state.m[i]
+                cov_new = (W / W_new) * cov[i] + (u.u[i] * W / W_new**2) * np.outer(d, d)
+                assert rel_err(new.R[i].T @ new.R[i], np.linalg.inv(cov_new)) < 1e-12
+
+    @pytest.mark.parametrize("gen", ["gen_s2", "gen_s3"])
+    def test_run_follows_covariance_recursion(self, gen):
+        # replay cov' = (W cov + u (W/W') d d^T) / W' beside a whole run; each
+        # row starts from the covariance its R was built from
+        from streamcvi import datagen
+
+        X = getattr(datagen, gen)(0).X()
+        prev = oec_init(X[:3], OecConfig())
+        covs = [np.linalg.inv(prev.R[0].T @ prev.R[0])]
+        worst = 0.0
+        for x, (state, u, *_) in zip(X[3:], run_stream(X)):
+            for i in np.flatnonzero(state.W[: prev.k] != prev.W):
+                W, W_new = prev.W[i], state.W[i]
+                d = x - prev.m[i]
+                covs[i] = (W * covs[i] + u.u[i] * (W / W_new) * np.outer(d, d)) / W_new
+            covs += [np.linalg.inv(R.T @ R) for R in state.R[prev.k:]]
+            worst = max(worst, *(rel_err(np.linalg.inv(R.T @ R), c)
+                                 for R, c in zip(state.R, covs)))
+            prev = state
+        assert state.k >= 8
+        assert worst < 1e-12
 
 
 class TestOecConfig:
