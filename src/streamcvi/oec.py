@@ -11,13 +11,15 @@ This is deliberately a reduced algorithm: no merging, no guard-zone geometry
 beyond the outlier ellipsoid. The clustering interface (step in, memberships
 and center snapshots out) isolates it so a richer clusterer can be swapped in.
 
-scipy is needed only for the chi-squared quantile of the outlier boundary, so
-it is imported when the first OEC state is built, not with this module:
-sequential k-means runs load numpy and the standard library alone.
+The chi-squared quantile of the outlier boundary is computed here with the
+standard library's math module, so OEC runs, like sequential k-means runs,
+load numpy and the standard library alone.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,18 +41,73 @@ class OecConfig:
             raise ValueError("stabilization period must be positive")
 
 
+def _log_gamma_tails(a: float, x: float) -> tuple[float, float, float]:
+    """log P(a, x) and log Q(a, x), the regularized incomplete gamma
+    functions, and the log of the prefactor x^a e^-x / Gamma(a) they share."""
+    log_pre = a * math.log(x) - x - math.lgamma(a)
+    if x < a + 1.0:
+        # P = prefactor * sum_n x^n / (a (a+1) ... (a+n))
+        term = total = 1.0 / a
+        n = a
+        while term > 1e-17 * total:
+            n += 1.0
+            term *= x / n
+            total += term
+        log_p = log_pre + math.log(total)
+        return log_p, math.log1p(-math.exp(log_p)), log_pre
+    # Q = prefactor / (x+1-a - 1(1-a) / (x+3-a - 2(2-a) / ...)), by modified Lentz
+    b = x + 1.0 - a
+    c, d = math.inf, 1.0 / b
+    cf = d
+    for i in range(1, 10000):
+        an = -i * (i - a)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        cf *= d * c
+        if abs(d * c - 1.0) < 3e-16:
+            break
+    else:
+        raise ValueError(f"incomplete gamma continued fraction did not converge at a={a}, x={x}")
+    log_q = log_pre + math.log(cf)
+    return math.log1p(-math.exp(log_q)), log_q, log_pre
+
+
 def chi2_inverse(p_dof: int, gamma: float) -> float:
-    """Quantile of the chi-squared distribution with p_dof degrees of freedom."""
+    """Quantile of the chi-squared distribution with p_dof degrees of freedom.
+
+    With a = p_dof/2, solves P(a, x) = gamma, or Q(a, x) = 1 - gamma (exact)
+    when gamma > 0.5, by Newton steps on log x, and returns 2x. log P and
+    log Q are concave in log x. So the steps on P rise monotonically from
+    x = (gamma Gamma(a+1))^(1/a), which is at or below the root since
+    P(a, x) <= x^a / Gamma(a+1). The steps on Q, from x = a + 1, cross the
+    root at most once, then fall monotonically to it. A quantile that
+    underflows, or no convergence in 100 steps, raises ValueError.
+    """
+    if isinstance(p_dof, bool) or not isinstance(p_dof, numbers.Integral) or p_dof < 1:
+        raise ValueError(f"degrees of freedom must be a positive integer, got {p_dof!r}")
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
-    if p_dof < 1:
-        raise ValueError("degrees of freedom must be a positive integer")
-    # scipy.stats.chi2.ppf computes this same expression. scipy.special is
-    # imported here, on the first call (from oec_init), so that importing
-    # streamcvi and running sequential k-means never load scipy.
-    from scipy import special
-
-    return float(2.0 * special.gammaincinv(p_dof / 2, gamma))
+    a = p_dof / 2
+    upper = gamma > 0.5
+    if upper:
+        log_target, x = math.log(1.0 - gamma), a + 1.0
+    else:
+        log_target = math.log(gamma)
+        x = math.exp((log_target + math.lgamma(a + 1.0)) / a)
+        if x == 0.0:
+            raise ValueError(f"the chi-squared({p_dof}) quantile at {gamma} underflows")
+    for _ in range(100):
+        log_p, log_q, log_pre = _log_gamma_tails(a, x)
+        # d log P / d log x = prefactor / P and d log Q / d log x = -prefactor / Q
+        if upper:
+            step = (log_target - log_q) * math.exp(log_q - log_pre)
+        else:
+            step = (log_p - log_target) * math.exp(log_p - log_pre)
+        x *= math.exp(-step)
+        if abs(step) < 1e-10:
+            return 2.0 * x
+    raise ValueError(f"the chi-squared({p_dof}) quantile at {gamma} did not converge")
 
 
 def mahalanobis_sq(x: np.ndarray, m: np.ndarray, R: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 import streamcvi
 
@@ -56,6 +56,17 @@ def run_stream(X):
         yield state, u, V_old, V_new, events
 
 
+# the quantile's checks run over this grid; scipy is the reference
+CHI2_DOFS = (1, 2, 3, 8, 50, 200, 1000)
+CHI2_GAMMAS = (1e-300, 1e-100, 1e-12, 0.01, 0.5, 0.9, 0.99, 0.999, 0.9999, 1 - 1e-12, 1 - 2.0**-53)
+# here the quantile, about 1.6e-600, is below the smallest double
+UNDERFLOW = (1, 1e-300)
+
+
+def chi2_grid():
+    return [(p, g) for p in CHI2_DOFS for g in CHI2_GAMMAS if (p, g) != UNDERFLOW]
+
+
 class TestChi2Inverse:
     def test_two_dof_closed_form(self):
         # for 2 dof the quantile is -2 ln(1 - gamma)
@@ -75,14 +86,39 @@ class TestChi2Inverse:
         with pytest.raises(ValueError):
             chi2_inverse(2, 0.0)
 
-    def test_equals_scipy_stats_exactly(self):
-        for p_dof in (1, 2, 3, 8, 50, 200):
-            for gamma in (0.01, 0.5, 0.9, 0.99, 0.999, 0.9999):
-                assert chi2_inverse(p_dof, gamma) == float(stats.chi2.ppf(gamma, df=p_dof))
+    def test_dof_must_be_a_positive_integer(self):
+        for p_dof in (1.5, True, 0, 2.0):
+            with pytest.raises(ValueError, match="positive integer"):
+                chi2_inverse(p_dof, 0.9)
 
-    def test_scipy_loaded_only_when_oec_starts(self, tmp_path):
-        # importing scipy dominates the engine's start-up time and memory, and
-        # only OEC's outlier boundary needs it
+    def test_matches_scipy_stats(self):
+        for p_dof, gamma in chi2_grid():
+            expected = float(stats.chi2.ppf(gamma, df=p_dof))
+            assert chi2_inverse(p_dof, gamma) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    def test_round_trips_through_the_incomplete_gamma_function(self):
+        # the tail that was solved: Q = 1 - gamma above 0.5, P = gamma otherwise
+        for p_dof, gamma in chi2_grid():
+            half = chi2_inverse(p_dof, gamma) / 2.0
+            if gamma > 0.5:
+                assert special.gammaincc(p_dof / 2, half) == pytest.approx(1.0 - gamma, rel=1e-12, abs=0.0)
+            else:
+                assert special.gammainc(p_dof / 2, half) == pytest.approx(gamma, rel=1e-12, abs=0.0)
+
+    def test_finite_positive_and_increasing_in_gamma(self):
+        for p_dof in CHI2_DOFS:
+            q = np.array([chi2_inverse(p_dof, g) for g in CHI2_GAMMAS if (p_dof, g) != UNDERFLOW])
+            assert np.isfinite(q).all() and (q > 0.0).all()
+            assert (np.diff(q) > 0.0).all()
+
+    def test_underflowing_quantile_raises(self):
+        assert stats.chi2.ppf(UNDERFLOW[1], df=UNDERFLOW[0]) == 0.0
+        with pytest.raises(ValueError, match="underflows"):
+            chi2_inverse(*UNDERFLOW)
+
+    def test_no_run_loads_scipy(self, tmp_path):
+        # importing scipy dominates a run's start-up time and memory, and no
+        # clusterer needs it
         src = str(Path(streamcvi.__file__).resolve().parents[1])
         code = """\
 import sys
@@ -90,19 +126,21 @@ import numpy as np
 import streamcvi
 from streamcvi.cli import main
 from streamcvi.engine import RunConfig, run
-loaded = ['scipy' in sys.modules]
+loaded = lambda: any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)
+seen = [loaded()]
 X = np.random.default_rng(0).normal(size=(40, 2))
 run(X, RunConfig(k=3))
-loaded.append('scipy' in sys.modules)
+seen.append(loaded())
 assert main(['run', 's1-skmeans', '--out', sys.argv[1]]) == 0
-loaded.append('scipy' in sys.modules)
+assert main(['verify', '--trials', '2']) == 0
+seen.append(loaded())
 run(X, RunConfig(algorithm='oec'))
-loaded.append('scipy.special' in sys.modules)
-print(loaded)
+seen.append(loaded())
+print(seen)
 """
         out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
                              text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.splitlines()[-1] == "[False, False, False, True]"
+        assert out.stdout.splitlines()[-1] == "[False, False, False, False]"
 
 
 class TestMahalanobis:
