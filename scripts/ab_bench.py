@@ -6,8 +6,8 @@ both sides with the same seed (pair i uses --seed START+i). Each pair starts
 with the side the previous pair ran second (A B, B A, A B, ...), so a slow
 spell on a shared machine hurts both sides alike. Afterwards it prints, for
 each side and each end-to-end metric of the change's BENCHMARK.json, the
-median and quartiles over the pairs, the number of pairs the change won, and
-every run that reported correct: false.
+median and quartiles over the pairs, the number of pairs the change won, the
+change/parent ratio of the medians, and every run that reported correct: false.
 
 Usage:
 
@@ -79,15 +79,18 @@ def main(argv=None) -> int:
                 if all(runs[side][i].get("correct") for side in SIDES)]
     print(f"workload {args.workload}: {args.pairs} pairs of {args.seconds} s, "
           f"seeds {args.seed}..{args.seed + args.pairs - 1}, {len(ok_pairs)} pairs usable")
-    print(f"{'metric':<13} {'side':<7} {'q1':>11} {'median':>11} {'q3':>11}  wins")
+    print(f"{'metric':<13} {'side':<7} {'q1':>11} {'median':>11} {'q3':>11}  wins  change/parent")
     for name, better in metrics if ok_pairs else ():
         vals = {side: [runs[side][i]["metrics"][name]["value"] for i in ok_pairs]
                 for side in SIDES}
         wins = sum((c > p) if better == "higher" else (c < p)
                    for p, c in zip(vals["parent"], vals["change"]))
+        medians = {side: statistics.median(vals[side]) for side in SIDES}
+        ratio = medians["change"] / medians["parent"] if medians["parent"] else float("nan")
         for side in SIDES:
             q1, q2, q3 = quartiles(vals[side])
-            tail = f"  {wins}/{len(ok_pairs)} ({better} is better)" if side == "change" else ""
+            tail = (f"  {wins}/{len(ok_pairs)}  {ratio:.3f} ({better} is better)"
+                    if side == "change" else "")
             print(f"{name:<13} {side:<7} {q1:>11.4g} {q2:>11.4g} {q3:>11.4g}{tail}")
     for side, r in bad:
         print(f"NOT CORRECT: {side} seed {r['seed']}: "

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def is_integer(v) -> bool:
+    """True for an integer, numpy's included, that is not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def all_finite(v: np.ndarray) -> bool:
@@ -52,6 +58,6 @@ class PrototypeSet:
 
 def pairwise_sq_distances(C: np.ndarray) -> np.ndarray:
     """(k, k) squared Euclidean distances between the rows of a (k, p) array."""
-    diff = C[:, None, :] - C[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
+    diff = C[:, None, :] - C
+    return np.vecdot(diff, diff)
 

@@ -16,8 +16,10 @@ with the per-step intermediates
 
 lam = 1 means no forgetting. The arrays hold a row of every cluster for each
 forgetting factor in use: C and M are (s, k), G is (s, k, p), and lam holds
-the s factors. One update advances all s*k rows and computes B, A and the
-center moves once for all of them. It never writes into its inputs.
+the s factors. One update advances all s*k rows. B, A and the center moves
+are computed once, as (k,) and (k, p) arrays that broadcast over the s rows.
+Each contraction is one call of the gufunc np.vecdot. An update never writes
+into its inputs.
 """
 
 from __future__ import annotations
@@ -79,17 +81,13 @@ def update_dispersion(C, G, M, lam: tuple[float, ...], V_old, V_new, u, x):
     if not (np.minimum.reduce(u) >= 0.0 and np.maximum.reduce(u) <= 1.0):
         raise ValueError(f"memberships must be finite and in [0, 1], got {u}")
     lam_C, two_lam, lam_G = _factors(lam)
-    # The step's terms get a leading axis of length 1: computed once, they
-    # broadcast over the s rows, and a single row needs no broadcasting.
-    V_new = V_new[None]
-    u = u[None]
-    dV = V_old[None] - V_new
+    dV = V_old - V_new
     R = x - V_new
     u2 = u * u
-    Q = np.einsum("skp,skp->sk", G, dV)
-    B = np.einsum("skp,skp->sk", dV, dV)
-    A = u2 * np.einsum("skp,skp->sk", R, R)
+    Q = np.vecdot(G, dV)
+    B = np.vecdot(dV, dV)
+    A = u2 * np.vecdot(R, R)
     lam_M = lam_C * M
     C, clamped = _clamp_C(lam_C * C + two_lam * Q + lam_M * B + A, lam)
-    G = lam_G * G + lam_M[:, :, None] * dV + u2[:, :, None] * R
+    G = lam_G * G + lam_M[:, :, None] * dV + u2[:, None] * R
     return C, G, lam_M + u2, clamped

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import all_finite, as_vector
+from .core import all_finite, as_vector, is_integer
 from .cvi import INDEX_FAMILIES, IndexSet, check_families
 from .oec import OecConfig, oec_init, oec_step
 from .skmeans import skmeans_init, skmeans_step
@@ -32,8 +32,8 @@ class RunConfig:
         if self.algorithm not in ("skmeans", "oec"):
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         check_families(self.indices, self.lam)
-        if self.algorithm == "skmeans" and self.k < 1:
-            raise ValueError("k must be positive")
+        if not is_integer(self.k) or (self.algorithm == "skmeans" and self.k < 1):
+            raise ValueError(f"k must be a positive integer, got {self.k!r}")
 
 
 class ClustererError(ValueError):

@@ -19,12 +19,11 @@ load numpy and the standard library alone.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MembershipVector, PrototypeSet, all_finite
+from .core import MembershipVector, PrototypeSet, all_finite, is_integer
 
 @dataclass(frozen=True)
 class OecConfig:
@@ -37,8 +36,8 @@ class OecConfig:
             raise ValueError("need 0 < gamma_out < 1")
         if not (0.0 < self.lambda_oec < 1.0):
             raise ValueError("lambda_oec must be in (0, 1)")
-        if self.n_s < 1:
-            raise ValueError("stabilization period must be positive")
+        if not is_integer(self.n_s) or self.n_s < 1:
+            raise ValueError(f"stabilization period must be a positive integer, got {self.n_s!r}")
 
 
 def _log_gamma_tails(a: float, x: float) -> tuple[float, float, float]:
@@ -84,7 +83,7 @@ def chi2_inverse(p_dof: int, gamma: float) -> float:
     root at most once, then fall monotonically to it. A quantile that
     underflows, or no convergence in 100 steps, raises ValueError.
     """
-    if isinstance(p_dof, bool) or not isinstance(p_dof, numbers.Integral) or p_dof < 1:
+    if not is_integer(p_dof) or p_dof < 1:
         raise ValueError(f"degrees of freedom must be a positive integer, got {p_dof!r}")
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
@@ -113,8 +112,8 @@ def chi2_inverse(p_dof: int, gamma: float) -> float:
 def mahalanobis_sq(x: np.ndarray, m: np.ndarray, R: np.ndarray) -> np.ndarray:
     """(k,) squared Mahalanobis distances of a (p,) point to k prototypes with
     (k, p) means and (k, p, p) whitening matrices R: ||R_i (x - m_i)||^2 >= 0."""
-    Z = np.einsum("ijk,ik->ij", R, x - m)
-    return np.einsum("ij,ij->i", Z, Z)
+    Z = np.matvec(R, x - m)
+    return np.vecdot(Z, Z)
 
 
 def oec_membership(F: np.ndarray) -> np.ndarray:
@@ -122,16 +121,16 @@ def oec_membership(F: np.ndarray) -> np.ndarray:
     distances. A zero distance yields a one-hot vector at the lowest
     zero-distance index.
     """
-    zero = np.flatnonzero(F == 0.0)
-    if zero.size > 0:
+    low = np.minimum.reduce(F)
+    if low == 0.0:  # argmin takes the first minimum: the lowest zero index
         u = np.zeros(F.shape[0])
-        u[zero[0]] = 1.0
+        u[F.argmin()] = 1.0
         return u
     # u_i = [sum_j (F_i / F_j)^2]^-1, computed via inverse squares for stability
     # after scaling F exactly by a power of two (a subnormal F squares to 0)
-    F = np.ldexp(F, -np.frexp(np.minimum.reduce(F))[1])
+    F = np.ldexp(F, -math.frexp(low)[1])
     inv2 = 1.0 / (F * F)
-    return inv2 / np.sum(inv2)
+    return inv2 / np.add.reduce(inv2)
 
 
 def _regularize(cov: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -178,7 +177,7 @@ class _ForgetfulStats:
         W_new = lam * self.W + 1.0
         d = x - self.m
         m_new = self.m + d / W_new
-        S_new = lam * self.S + (lam * self.W / W_new) * np.outer(d, d)
+        S_new = lam * self.S + (lam * self.W / W_new) * (d[:, None] * d)
         return _ForgetfulStats(m=m_new, S=S_new, W=W_new)
 
 
@@ -251,7 +250,7 @@ def oec_step(state: OecState, x_new, config: OecConfig):
 
     F = mahalanobis_sq(x, state.m, state.R)
     u = oec_membership(F)
-    winner = int(np.argmax(u))
+    winner = int(u.argmax())
 
     # The outlier boundary shields a stabilized prototype from points far
     # outside it; such points only feed the forgetful prototype.
@@ -262,20 +261,20 @@ def oec_step(state: OecState, x_new, config: OecConfig):
         count[winner] += 1
 
     m, R, W = state.m, state.R, state.W
-    rows = np.flatnonzero(~shielded & (u > 0.0))
+    rows = (~shielded & (u > 0.0)).nonzero()[0]
     if rows.size:
         m, R, W = m.copy(), R.copy(), W.copy()
     for i in rows:
         # Membership-weighted update of mean and covariance, cov' = (W/W') (cov
         # + (u/W') d d^T), made on R by Sherman-Morrison: a positive rank-one
         # update, so R^T R stays positive definite.
-        ui = u[i]
-        W_new = W[i] + ui
+        ui, Wi = float(u[i]), float(W[i])
+        W_new = Wi + ui
         d = x - m[i]
         m[i] = m[i] + (ui / W_new) * d
-        w = np.sqrt(ui / W_new) * (R[i] @ d)
-        r = np.sqrt(1.0 + w @ w)
-        R[i] = (R[i] - np.outer(w / (r * (r + 1.0)), w @ R[i])) * np.sqrt(W_new / W[i])
+        w = math.sqrt(ui / W_new) * (R[i] @ d)
+        r = math.sqrt(1.0 + w @ w)
+        R[i] = (R[i] - (w / (r * (r + 1.0)))[:, None] * (w @ R[i])) * math.sqrt(W_new / Wi)
         W[i] = W_new
 
     forget = state.forget.updated(x, config.lambda_oec)
@@ -283,8 +282,9 @@ def oec_step(state: OecState, x_new, config: OecConfig):
     # New-cluster test: suppressed while any cluster is still stabilizing.
     streak = 0
     created = False
-    if (count >= config.n_s).all():
-        outside_all = (mahalanobis_sq(forget.m, m, R) > state.chi2_out).all()
+    # A minimum at or past its bound puts every entry there; nan reads as "not all".
+    if np.minimum.reduce(count) >= config.n_s:
+        outside_all = np.minimum.reduce(mahalanobis_sq(forget.m, m, R)) > state.chi2_out
         streak = state.outside_streak + 1 if outside_all else 0
         if streak >= config.n_s:
             # forget was just updated from W >= 1, so its mass W exceeds 1.

@@ -47,7 +47,7 @@ def skmeans_step(state: SkMeansState, x_new):
     if x.shape != (state.p,):
         raise ValueError(f"expected a ({state.p},) vector, got shape {x.shape}")
     d = state.V - x
-    d2 = np.add.reduce(d * d, axis=1)
+    d2 = np.vecdot(d, d)
     # The largest distance is finite only if all k are (max propagates nan),
     # so this also rejects a non-finite x. An overflowed distance would
     # otherwise tie at inf and send the point to cluster 0.

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import StreamPoint
+from .core import StreamPoint, is_integer
 from .cvi import INDEX_FAMILIES
 
 TRACE_COLUMNS = ("n", "k") + INDEX_FAMILIES
@@ -44,6 +44,23 @@ class StreamSchema:
 
     feature_columns: tuple[int, ...] = (0, 1)
     label_column: int | None = None
+
+    def __post_init__(self):
+        """Rejects a layout that would read a column other than the one named,
+        or one column for two roles: no feature columns, a column index that
+        is negative (it counts from the row's end) or not an integer, a
+        repeated feature column, or a label column among the features."""
+        features = tuple(self.feature_columns)
+        if not features:
+            raise ValueError("a stream schema needs at least one feature column")
+        label = () if self.label_column is None else (self.label_column,)
+        for c in features + label:
+            if not is_integer(c) or c < 0:
+                raise ValueError(f"column indices must be nonnegative integers, got {c!r}")
+        if len(set(features)) != len(features):
+            raise ValueError(f"feature columns repeat: {features}")
+        if self.label_column in features:
+            raise ValueError(f"label column {self.label_column} is also a feature column")
 
 
 def read_stream(path, schema: StreamSchema = StreamSchema()):

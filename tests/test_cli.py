@@ -48,6 +48,11 @@ algorithm = dbscan
 
 [bad-dataset]
 dataset = s9
+
+[bad-features]
+input = {input_path}
+features = 0,-1
+algorithm = skmeans
 """
 
 
@@ -150,6 +155,17 @@ class TestRun:
                      "--out", str(tmp_path / "res")])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"scenario {name}: ")
+        assert not (tmp_path / "res").exists()
+
+
+    def test_negative_feature_column_is_soft_error(self, tmp_path, scenario_file, capsys):
+        # -1 would read the last column, here a label
+        (tmp_path / "in.csv").write_text("".join(f"{i}.5,{i}.25,{i % 2}\n" for i in range(9)))
+        code = main(["run", "bad-features", "--scenario-file", str(scenario_file),
+                     "--out", str(tmp_path / "res")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "scenario bad-features: column indices must be nonnegative integers, got -1")
         assert not (tmp_path / "res").exists()
 
 

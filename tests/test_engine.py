@@ -117,6 +117,15 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(indices=("xb_lambda",), lam=1.0)
 
+    @pytest.mark.parametrize("algorithm", ["skmeans", "oec"])
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
+    def test_k_must_be_an_integer(self, algorithm, k):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            RunConfig(algorithm=algorithm, k=k)
+
+    def test_numpy_integer_k_accepted(self):
+        assert RunConfig(k=np.int64(3)).k == 3
+
 
 class TestInitModes:
     def test_paper_mode_seeds_mass_with_warmup_count(self):
@@ -423,6 +432,33 @@ def assert_same(a, b):
             assert_same(x, y)
     else:
         assert a == b
+
+
+class TestPerPointCalls:
+    """After warm-up a step makes every contraction and reduction one direct
+    ufunc or gufunc call. numpy's Python-level wrappers cost microseconds a
+    call at these shapes, more than the arithmetic; births may use them."""
+
+    WRAPPERS = ("einsum", "outer", "flatnonzero", "sum", "argmax", "all", "any")
+
+    @pytest.mark.parametrize("stream, config, min_births", [
+        (gen_s3, RunConfig(algorithm="oec", indices=("xb_lambda", "db_lambda")), 1),
+        (gen_s2, RunConfig(algorithm="skmeans", k=11), 0),
+    ])
+    def test_no_numpy_wrapper_after_warmup(self, monkeypatch, stream, config, min_births):
+        X = stream(0).X()
+        engine = StreamEngine(config)
+        t = 0
+        while engine.push(X[t]) is None:  # warm-up, then one step
+            t += 1
+        for name in self.WRAPPERS:
+            def banned(*args, _name=name, **kwargs):
+                raise AssertionError(f"numpy.{_name} called after warm-up")
+            monkeypatch.setattr(np, name, banned)
+        for x in X[t + 1:]:
+            engine.push(x)
+        assert engine.n == len(X)
+        assert sum(e.kind == "cluster_created" for e in engine.events) >= min_births
 
 
 class TestImmutableStates:

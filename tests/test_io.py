@@ -48,6 +48,27 @@ class TestReadStream:
             read_stream(tmp_path / "nope.csv")
 
 
+class TestStreamSchema:
+    def test_default_and_range_layouts_valid(self):
+        assert StreamSchema().feature_columns == (0, 1)
+        StreamSchema(feature_columns=tuple(range(8)), label_column=8)
+        StreamSchema(feature_columns=(np.int64(2), 0), label_column=1)
+
+    @pytest.mark.parametrize("columns, label, match", [
+        ((), None, "at least one feature column"),
+        ((0, -1), None, "nonnegative integers"),
+        ((0, 1), -1, "nonnegative integers"),
+        ((0, True), None, "nonnegative integers"),
+        ((0, 1.0), None, "nonnegative integers"),
+        ((0, "1"), None, "nonnegative integers"),
+        ((0, 0), None, "repeat"),
+        ((0, 1), 1, "also a feature column"),
+    ])
+    def test_unreadable_layout_rejected(self, columns, label, match):
+        with pytest.raises(ValueError, match=match):
+            StreamSchema(feature_columns=columns, label_column=label)
+
+
 class TestWriteTrace:
     def test_empty_gives_header_only(self, tmp_path):
         f = tmp_path / "t.csv"

@@ -401,6 +401,12 @@ class TestOecConfig:
         with pytest.raises(ValueError):
             OecConfig(lambda_oec=1.0)
 
+    def test_stabilization_period_must_be_a_positive_integer(self):
+        for n_s in (2.5, 20.0, True, 0, "20"):
+            with pytest.raises(ValueError, match="positive integer"):
+                OecConfig(n_s=n_s)
+        assert OecConfig(n_s=np.int64(5)).n_s == 5
+
     def test_paper_defaults(self):
         cfg = OecConfig()
         assert cfg.gamma_out == 0.999
