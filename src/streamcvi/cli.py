@@ -41,6 +41,14 @@ CONFIG_KEYS = {
 SCENARIO_KEYS = ("dataset", "input", "features", "seed") + tuple(CONFIG_KEYS)
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type of --seed and --trials, which numpy rejects below 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+    return value
+
+
 def cmd_generate(args) -> int:
     gen = datagen.GENERATORS[args.dataset]
     seed = args.seed if args.seed is not None else datagen.DEFAULT_SEEDS[args.dataset]
@@ -157,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="generate a synthetic stream")
     g.add_argument("dataset", choices=("s1", "s2", "s3"))
-    g.add_argument("--seed", type=int, default=None)
+    g.add_argument("--seed", type=nonnegative_int, default=None)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
 
@@ -168,8 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(func=cmd_run)
 
     v = sub.add_parser("verify", help="run the incremental-vs-batch oracle suite")
-    v.add_argument("--trials", type=int, default=100)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--trials", type=nonnegative_int, default=100)
+    v.add_argument("--seed", type=nonnegative_int, default=0)
     v.set_defaults(func=cmd_verify)
     return parser
 

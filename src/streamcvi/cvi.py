@@ -16,12 +16,13 @@ reads every DB variant in one pass.
 
 Both indices are min-optimal. An undefined value (coincident centers, a
 single cluster for DB, or a non-finite read-out) is None, never raised: the
-state still advances.
+state still advances. A step reports what happened as (kind, detail) events:
+``dispersion_clamped`` naming the factor of each row whose dispersion it
+clamped to 0, then one ``index_undefined`` per family read as None.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,8 +31,6 @@ import numpy as np
 
 from .core import pairwise_sq_distances
 from .dispersion import per_row, update_dispersion
-
-log = logging.getLogger(__name__)
 
 INDEX_FAMILIES = ("xb", "xb_lambda", "db", "db_lambda")
 
@@ -83,8 +82,7 @@ class IndexSet:
     lam=1 (xb, db) first, then lam (xb_lambda, db_lambda), each only if a
     family reads it. A step returns new arrays and never writes into these.
     ``h`` is the XB separation of the last step: the minimum squared center
-    gap, or while k == 1 the running max of ||v_1 - x||^2. ``clamped`` names
-    the factor of every row whose dispersion the last step clamped to 0.
+    gap, or while k == 1 the running max of ||v_1 - x||^2.
     """
 
     families: tuple[str, ...]
@@ -95,7 +93,6 @@ class IndexSet:
     h: float
     n: int
     readout: _Readout
-    clamped: tuple[float, ...] = ()
 
     @classmethod
     def start(cls, families, k: int, p: int, lam: float = 1.0,
@@ -125,12 +122,15 @@ class IndexSet:
         return self.C.size + self.G.size + self.M.size + 2  # + h, n
 
     def step(self, V_old: np.ndarray, V_new: np.ndarray, u: np.ndarray,
-             x: np.ndarray) -> tuple["IndexSet", dict[str, float | None]]:
+             x: np.ndarray) -> tuple["IndexSet", dict[str, float | None], list]:
         """Advance by one clustering step from the (k, p) centers before and
         after it, the (k,) memberships and the (p,) point; returns the new
-        state and each family's value, None where undefined. Clusters born
-        this step (k above the current count) get empty accumulators first.
-        Every array must be finite; nothing here re-checks them."""
+        state, each family's value (None where undefined) and the step's
+        (kind, detail) events: ``("dispersion_clamped", "lam=...")`` first if
+        any row was clamped, then ``("index_undefined", family)`` for each
+        None, in ``families`` order. Clusters born this step (k above the
+        current count) get empty accumulators first. Every array must be
+        finite; nothing here re-checks them."""
         k = V_new.shape[0]
         C, G, M = self.C, self.G, self.M
         born = k - C.shape[1]
@@ -146,9 +146,7 @@ class IndexSet:
         if k >= 2:
             gaps = pairwise_sq_distances(V_new) + _inf_diagonal(k)
             h = float(np.minimum.reduce(gaps, axis=None))
-            if h <= 0.0:
-                log.debug("XB and DB undefined at n=%d: coincident centers", n)
-            elif ro.db_floor is not None:
+            if h > 0.0 and ro.db_floor is not None:
                 L = C / np.maximum(ro.db_floor, M)
                 # The diagonal reads (L_i + L_i) / inf = 0, never above the
                 # row's off-diagonal ratios (all >= 0), so it needs no mask.
@@ -170,4 +168,6 @@ class IndexSet:
                 value = math.nan if db is None else db[row]
             # Overflow in the accumulators reads out as inf or nan: undefined.
             values[fam] = value if math.isfinite(value) else None
-        return IndexSet(self.families, self.lam, C, G, M, h, n, ro, clamped), values
+        events = [("dispersion_clamped", "lam=" + ",".join(map(repr, clamped)))] if clamped else []
+        events += [("index_undefined", fam) for fam, value in values.items() if value is None]
+        return IndexSet(self.families, self.lam, C, G, M, h, n, ro), values, events

@@ -24,12 +24,9 @@ into its inputs.
 
 from __future__ import annotations
 
-import logging
 from functools import lru_cache
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 
 def per_row(values, ndim: int = 2):
@@ -52,10 +49,8 @@ def _factors(lam: tuple[float, ...]):
 def _clamp_C(C: np.ndarray, lam: tuple[float, ...]) -> tuple[np.ndarray, tuple[float, ...]]:
     """Rounding can leave a dispersion slightly negative: set it to 0 and
     return the factor of every row that needed it."""
-    lowest = np.minimum.reduce(C, axis=None)
-    if not lowest < 0.0:
+    if not np.minimum.reduce(C, axis=None) < 0.0:
         return C, ()
-    log.warning("dispersion accumulator clamped to 0 (raw value %.3e)", float(lowest))
     rows = (C < 0.0).any(axis=1).tolist()
     return np.maximum(C, 0.0), tuple(f for f, hit in zip(lam, rows) if hit)
 

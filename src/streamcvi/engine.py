@@ -1,10 +1,11 @@
 """Per-sample orchestration: clustering step, then incremental index step.
 
-The engine owns the warm-up handling (sequential k-means consumes the first k
-points as prototypes; the ellipsoidal clusterer consumes the first p+1 points
-for its initial prototype), grows every index state coherently when the
-clusterer creates a cluster mid-stream, and records one trace row per
-evaluated point plus an event log.
+The engine drives either clusterer through one table, ``_CLUSTERERS``, of
+warm-up count (sequential k-means consumes the first k points as prototypes,
+the ellipsoidal clusterer the first p+1 for its initial prototype), init and
+step. It records one trace row per evaluated point, and logs the (kind,
+detail) events of the clusterer step, then of the index step, under the
+point's n.
 """
 
 from __future__ import annotations
@@ -19,20 +20,33 @@ from .oec import OecConfig, oec_init, oec_step
 from .skmeans import skmeans_init, skmeans_step
 from .stream_io import EventRecord, TraceRecord
 
+# algorithm -> (warm-up count(cfg, p), init(points, cfg), step(state, x, cfg));
+# every step returns (state, u, V_old, V_new, events). The lambdas look the
+# clusterer functions up in this module's globals at call time, so a name
+# patched here (by a test or a tracer) is the one that runs.
+_CLUSTERERS = {
+    "skmeans": (lambda cfg, p: cfg.k,
+                lambda points, cfg: skmeans_init(points),
+                lambda state, x, cfg: (*skmeans_step(state, x), ())),
+    "oec": (lambda cfg, p: p + 1,
+            lambda points, cfg: oec_init(points, cfg.oec),
+            lambda state, x, cfg: oec_step(state, x, cfg.oec)),
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    algorithm: str = "skmeans"               # "skmeans" | "oec"
+    algorithm: str = "skmeans"               # a key of _CLUSTERERS
     k: int = 2                               # sk-means only
     oec: OecConfig = field(default_factory=OecConfig)
     indices: tuple[str, ...] = INDEX_FAMILIES
     lam: float = 0.9                         # forgetting factor of *_lambda indices
 
     def __post_init__(self):
-        if self.algorithm not in ("skmeans", "oec"):
+        if self.algorithm not in _CLUSTERERS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         check_families(self.indices, self.lam)
-        if not is_integer(self.k) or (self.algorithm == "skmeans" and self.k < 1):
+        if not is_integer(self.k) or self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k!r}")
 
 
@@ -63,11 +77,6 @@ class StreamEngine:
     def n(self) -> int:
         return self._n
 
-    def _warmup_target(self, p: int) -> int:
-        if self.config.algorithm == "skmeans":
-            return self.config.k
-        return p + 1
-
     def push(self, x) -> TraceRecord | None:
         """Process one point; returns its trace row, or None during warm-up."""
         x = as_vector(x)
@@ -76,53 +85,31 @@ class StreamEngine:
                              f"first point has dimension {self._buffer[0].size}")
         self._n += 1
         cfg = self.config
+        warmup_count, init, step = _CLUSTERERS[cfg.algorithm]
         if self._cluster_state is None:
             self._buffer.append(x)
-            if len(self._buffer) < self._warmup_target(x.shape[0]):
+            if len(self._buffer) < warmup_count(cfg, x.shape[0]):
                 return None
-            p = x.shape[0]
             try:
-                if cfg.algorithm == "skmeans":
-                    self._cluster_state = skmeans_init(self._buffer)
-                    k0 = cfg.k
-                else:
-                    self._cluster_state = oec_init(self._buffer, cfg.oec)
-                    k0 = 1
+                self._cluster_state = init(self._buffer, cfg)
             except ValueError as exc:
                 raise ClustererError(cfg.algorithm, self._n, exc) from exc
-            self._indices = IndexSet.start(cfg.indices, k0, p, lam=cfg.lam, n0=self._n)
+            self._indices = IndexSet.start(cfg.indices, self._cluster_state.k, x.shape[0],
+                                           lam=cfg.lam, n0=self._n)
             self._buffer = []
             return None
 
         try:
-            if cfg.algorithm == "skmeans":
-                self._cluster_state, u, V_old, V_new = skmeans_step(self._cluster_state, x)
-                step_events = []
-            else:
-                self._cluster_state, u, V_old, V_new, step_events = oec_step(
-                    self._cluster_state, x, cfg.oec
-                )
+            self._cluster_state, u, V_old, V_new, step_events = step(self._cluster_state, x, cfg)
             u, V_old, V_new = u.u, V_old.centers, V_new.centers
             if not (all_finite(u) and all_finite(V_new)):
                 raise ValueError("memberships or centers are not finite")
         except ValueError as exc:
             raise ClustererError(cfg.algorithm, self._n, exc) from exc
 
-        for kind, detail in step_events:
+        self._indices, values, index_events = self._indices.step(V_old, V_new, u, x)
+        for kind, detail in (*step_events, *index_events):
             self.events.append(EventRecord(n=self._n, kind=kind, detail=detail))
-
-        self._indices, values = self._indices.step(V_old, V_new, u, x)
-        clamped = self._indices.clamped
-        if clamped:
-            self.events.append(EventRecord(
-                n=self._n, kind="dispersion_clamped",
-                detail="lam=" + ",".join(repr(f) for f in clamped),
-            ))
-        for fam, value in values.items():
-            if value is None:
-                self.events.append(
-                    EventRecord(n=self._n, kind="index_undefined", detail=fam)
-                )
         record = TraceRecord(n=self._n, k=V_new.shape[0], values=values)
         self.trace.append(record)
         return record
@@ -150,6 +137,6 @@ def run(points, config: RunConfig, change_events=()) -> tuple[list, list]:
             )
         engine.push(x)
     if engine._cluster_state is None:
-        need = "k" if config.algorithm == "skmeans" else "p+1"
-        raise ValueError(f"stream ended during warm-up (need more than {need} points)")
+        raise ValueError(f"stream ended during {config.algorithm} warm-up "
+                         f"after {engine.n} points")
     return engine.trace, engine.events

@@ -89,10 +89,14 @@ def read_stream(path, schema: StreamSchema = StreamSchema()):
             except ValueError as exc:
                 raise IngestionError(f"row {row_no}: bad feature value ({exc})") from None
             if labels is not None:
+                cell = row[schema.label_column]
                 try:
-                    labels.append(int(float(row[schema.label_column])))
+                    label = float(cell)
                 except ValueError:
                     raise IngestionError(f"row {row_no}: non-numeric label cell") from None
+                if not label.is_integer():  # also False for inf and nan
+                    raise IngestionError(f"row {row_no}: label {cell!r} is not a finite integer")
+                labels.append(int(label))
     return points, labels
 
 

@@ -129,7 +129,7 @@ def run_trial(seed: int, n=None, k=None, p=None, lam=None, empty_cluster=False) 
 
     for t in range(1, n + 1):
         u = np.clip(U[t - 1], 0.0, 1.0)
-        indices, values = indices.step(Vs[t - 1], Vs[t], u, X[t - 1])
+        indices, values, _ = indices.step(Vs[t - 1], Vs[t], u, X[t - 1])
         for fam, value in values.items():
             C, M = batch_accumulators(X[:t], U[:t], Vs[t],
                                       lam if fam.endswith("_lambda") else 1.0)
@@ -181,7 +181,7 @@ def k1_xb_trial(seed: int, n=150, p=2) -> float:
     worst = 0.0
     h_ref = 0.0
     for t in range(1, n + 1):
-        indices, values = indices.step(Vs[t - 1], Vs[t], U[t - 1], X[t - 1])
+        indices, values, _ = indices.step(Vs[t - 1], Vs[t], U[t - 1], X[t - 1])
         d = Vs[t][0] - X[t - 1]
         h_ref = max(h_ref, float(d @ d))
         C, M = batch_accumulators(X[:t], U[:t], Vs[t])

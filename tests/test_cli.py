@@ -173,3 +173,19 @@ class TestVerify:
     def test_small_run_passes(self, capsys):
         assert main(["verify", "--trials", "3", "--seed", "0"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+
+class TestArguments:
+    @pytest.mark.parametrize("argv, flag", [
+        (["generate", "s2", "--seed", "-1", "--out", "s2.csv"], "--seed"),
+        (["verify", "--seed", "-1"], "--seed"),
+        (["verify", "--trials", "-3"], "--trials"),
+    ])
+    def test_negative_seed_or_trials_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                     argv, flag):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"argument {flag}: must be a nonnegative integer" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())

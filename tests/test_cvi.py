@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from streamcvi.verify import batch_accumulators, index_value, random_stream
 
 def update(family, state, V_old, V_new, u, x):
     """One step of a single-family IndexSet; returns (state', value)."""
-    state, values = state.step(V_old, V_new, np.asarray(u, dtype=float),
-                               np.asarray(x, dtype=float))
+    state, values, _ = state.step(V_old, V_new, np.asarray(u, dtype=float),
+                                  np.asarray(x, dtype=float))
     return state, values[family]
 
 
@@ -224,7 +226,7 @@ class TestIndexProperties:
         state = IndexSet.start(("xb",), 2, 2)
         for t in range(1, 51):
             u = U[t - 1]
-            state, _ = state.step(Vs[t - 1], Vs[t], u, X[t - 1])
+            state, _, _ = state.step(Vs[t - 1], Vs[t], u, X[t - 1])
             assert state.n == t
 
 
@@ -253,7 +255,7 @@ class TestIndexSet:
         shared = {fam: [] for fam in INDEX_FAMILIES}
         for t in range(1, 151):
             u = np.clip(U[t - 1], 0.0, 1.0)
-            state, values = state.step(Vs[t - 1], Vs[t], u, X[t - 1])
+            state, values, _ = state.step(Vs[t - 1], Vs[t], u, X[t - 1])
             assert list(values) == list(INDEX_FAMILIES)
             for fam, val in values.items():
                 shared[fam].append(val)
@@ -267,7 +269,7 @@ class TestIndexSet:
         state, _ = update("xb", state, V1, V1, [1.0], [1.0, 0.0])
         V2 = np.array([[0.0, 0.0], [5.0, 0.0]])
         u = np.array([1.0, 0.0])  # newborn padded with u = 0
-        state, values = state.step(V2, V2, u, np.array([0.0, 1.0]))
+        state, values, _ = state.step(V2, V2, u, np.array([0.0, 1.0]))
         assert state.lam == (1.0, 0.9) and state.C.shape == (2, 2) and state.n == 5
         assert np.array_equal(state.M, [[3.0 + 1.0 + 1.0, 0.0],
                                         [(0.9 * 3.0 + 1.0) * 0.9 + 1.0, 0.0]])
@@ -282,12 +284,29 @@ class TestIndexSet:
         # memberships and still centers then only decays the lam row
         state = IndexSet.start(("xb", "xb_lambda"), 1, 2, lam=0.9, n0=5)
         V1 = np.zeros((1, 2))
-        state, _ = state.step(V1, V1, np.ones(1), np.array([3.0, 4.0]))
+        state, _, _ = state.step(V1, V1, np.ones(1), np.array([3.0, 4.0]))
         V3 = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
-        state, _ = state.step(V3, V3, np.zeros(3), np.zeros(2))
+        state, _, _ = state.step(V3, V3, np.zeros(3), np.zeros(2))
         assert state.lam == (1.0, 0.9)
         assert np.array_equal(state.C, [[25.0, 0.0, 0.0], [0.9 * 25.0, 0.0, 0.0]])
         assert np.array_equal(state.G, [[[3.0, 4.0], [0.0, 0.0], [0.0, 0.0]],
                                         [[0.9 * 3.0, 0.9 * 4.0], [0.0, 0.0], [0.0, 0.0]]])
         assert np.array_equal(state.M, [[5.0 + 1.0, 0.0, 0.0],
                                         [0.9 * (0.9 * 5.0 + 1.0), 0.0, 0.0]])
+
+    def test_step_events_clamp_first_then_undefined_in_family_order(self):
+        # the lam row's G makes C' = 2 * 0.9 * Q + A < 0 (see
+        # test_dispersion_clamp_is_logged_once); with k == 1 both DB
+        # families are undefined, and the events follow the families' order
+        families = ("db_lambda", "xb", "db", "xb_lambda")
+        state = IndexSet.start(families, 1, 2, lam=0.9)
+        state = dataclasses.replace(state, G=np.array([[[0.0, 0.0]], [[100.0, 0.0]]]))
+        _, values, events = state.step(np.zeros((1, 2)), np.array([[0.5, 0.0]]),
+                                       np.ones(1), np.array([1.0, 0.0]))
+        assert [fam for fam in families if values[fam] is None] == ["db_lambda", "db"]
+        assert events == [("dispersion_clamped", "lam=0.9"),
+                          ("index_undefined", "db_lambda"), ("index_undefined", "db")]
+        # x on the only center: h = 0, so XB is undefined too and nothing clamps
+        _, _, events = state.step(np.zeros((1, 2)), np.zeros((1, 2)), np.zeros(1),
+                                  np.zeros(2))
+        assert events == [("index_undefined", fam) for fam in families]

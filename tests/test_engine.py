@@ -118,7 +118,7 @@ class TestRunConfig:
             RunConfig(indices=("xb_lambda",), lam=1.0)
 
     @pytest.mark.parametrize("algorithm", ["skmeans", "oec"])
-    @pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "2", 0, -1])
     def test_k_must_be_an_integer(self, algorithm, k):
         with pytest.raises(ValueError, match="k must be a positive integer"):
             RunConfig(algorithm=algorithm, k=k)
@@ -501,9 +501,9 @@ class TestImmutableStates:
         state = IndexSet.start(("xb", "xb_lambda"), 1, 2, lam=0.9)
         state = dataclasses.replace(state, G=np.array([[[0.0, 0.0]], [[100.0, 0.0]]]))
         frozen = snapshot(state)
-        out, _ = state.step(np.zeros((1, 2)), np.array([[0.5, 0.0]]), np.ones(1),
-                            np.array([1.0, 0.0]))
-        assert out.clamped == (0.9,)
+        _, _, events = state.step(np.zeros((1, 2)), np.array([[0.5, 0.0]]), np.ones(1),
+                                  np.array([1.0, 0.0]))
+        assert events == [("dispersion_clamped", "lam=0.9")]
         assert_same(frozen, snapshot(state))
 
 

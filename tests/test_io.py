@@ -43,6 +43,13 @@ class TestReadStream:
         with pytest.raises(IngestionError, match="row 2"):
             read_stream(f)
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "2.5", "1e-3"])
+    def test_non_integral_label_names_row(self, tmp_path, cell):
+        f = tmp_path / "s.csv"
+        f.write_text(f"1.0,2.0,0\n1.0,2.0,{cell}\n")
+        with pytest.raises(IngestionError, match="row 2: label"):
+            read_stream(f, StreamSchema(label_column=2))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestionError, match="not found"):
             read_stream(tmp_path / "nope.csv")
