@@ -39,6 +39,14 @@ def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
     return json.loads(lines[-1])
 
 
+def positive_int(text: str) -> int:
+    """argparse type of --pairs: no pairs would measure nothing and exit 0."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) < 2:
         return values[0], values[0], values[0]
@@ -51,7 +59,7 @@ def main(argv=None) -> int:
     ap.add_argument("parent_root", type=Path)
     ap.add_argument("change_root", type=Path)
     ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--pairs", type=positive_int, default=10)
     ap.add_argument("--seconds", type=int, default=30)
     ap.add_argument("--seed", type=int, default=0, help="seed of the first pair")
     ap.add_argument("--json", type=Path, default=None, help="also write every run here")

@@ -42,10 +42,17 @@ SCENARIO_KEYS = ("dataset", "input", "features", "seed") + tuple(CONFIG_KEYS)
 
 
 def nonnegative_int(text: str) -> int:
-    """argparse type of --seed and --trials, which numpy rejects below 0."""
+    """argparse type of --seed, which numpy rejects below 0."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    """argparse type of --trials: no trials would pass without checking anything."""
+    if (value := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
 
 
@@ -101,8 +108,10 @@ def _load_points(sec):
         if name not in datagen.GENERATORS:
             known = ", ".join(datagen.GENERATORS)
             raise ValueError(f"unknown dataset {name!r} (known: {known})")
-        seed = int(sec["seed"]) if "seed" in sec else datagen.DEFAULT_SEEDS[name]
-        stream = datagen.GENERATORS[name](seed)
+        seed = sec.get("seed", str(datagen.DEFAULT_SEEDS[name]))
+        if not seed.isdecimal():  # int() would also take "-1" and "+1_0"
+            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+        stream = datagen.GENERATORS[name](int(seed))
         return stream.X(), stream.change_events
     if "input" not in sec:
         raise ValueError("needs either 'dataset' or 'input'")
@@ -176,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(func=cmd_run)
 
     v = sub.add_parser("verify", help="run the incremental-vs-batch oracle suite")
-    v.add_argument("--trials", type=nonnegative_int, default=100)
+    v.add_argument("--trials", type=positive_int, default=100)
     v.add_argument("--seed", type=nonnegative_int, default=0)
     v.set_defaults(func=cmd_verify)
     return parser

@@ -128,9 +128,9 @@ class IndexSet:
         state, each family's value (None where undefined) and the step's
         (kind, detail) events: ``("dispersion_clamped", "lam=...")`` first if
         any row was clamped, then ``("index_undefined", family)`` for each
-        None, in ``families`` order. Clusters born this step (k above the
-        current count) get empty accumulators first. Every array must be
-        finite; nothing here re-checks them."""
+        None, in ``families`` order. Each row of ``V_new`` past the current k
+        is a cluster born this step: empty accumulators, no motion, u = 0. u
+        must be in [0, 1] and every array finite; nothing here re-checks them."""
         k = V_new.shape[0]
         C, G, M = self.C, self.G, self.M
         born = k - C.shape[1]
@@ -139,6 +139,8 @@ class IndexSet:
             C = np.concatenate([C, np.zeros((s, born))], axis=1)
             G = np.concatenate([G, np.zeros((s, born, p))], axis=1)
             M = np.concatenate([M, np.zeros((s, born))], axis=1)
+            V_old = np.concatenate([V_old, V_new[-born:]])
+            u = np.concatenate([u, np.zeros(born)])
         C, G, M, clamped = update_dispersion(C, G, M, self.lam, V_old, V_new, u, x)
         n = self.n + 1
         ro = self.readout

@@ -61,8 +61,8 @@ def update_dispersion(C, G, M, lam: tuple[float, ...], V_old, V_new, u, x):
     row whose dispersion was clamped to 0 (see ``_clamp_C``).
 
     ``V_old``/``V_new`` are the (k, p) centers before and after the clustering
-    step, ``u`` the (k,) memberships of ``x`` in [0, 1]. The caller validates
-    that ``x`` is a finite (p,) float vector.
+    step, ``u`` the (k,) memberships of ``x``. The caller validates that ``u``
+    lies in [0, 1], and that ``x`` is a finite (p,) float vector.
     """
     shape = G.shape[1:]
     if V_old.shape != shape or V_new.shape != shape or u.shape != shape[:1]:
@@ -72,9 +72,6 @@ def update_dispersion(C, G, M, lam: tuple[float, ...], V_old, V_new, u, x):
         )
     if x.shape != shape[1:]:
         raise ValueError(f"expected dimension {shape[1]}, got shape {x.shape}")
-    # ufunc reductions skip the Python frame behind ndarray.min/max/any.
-    if not (np.minimum.reduce(u) >= 0.0 and np.maximum.reduce(u) <= 1.0):
-        raise ValueError(f"memberships must be finite and in [0, 1], got {u}")
     lam_C, two_lam, lam_G = _factors(lam)
     dV = V_old - V_new
     R = x - V_new

@@ -52,8 +52,8 @@ class RunConfig:
 
 class ClustererError(ValueError):
     """The clusterer failed on a point: it raised ValueError (a non-finite
-    distance or covariance estimate), or returned a non-finite membership or
-    center. Names the algorithm and the point's 1-based stream index ``n``."""
+    distance or covariance estimate), or returned a membership outside [0, 1]
+    or a non-finite center. Names the algorithm and the point's 1-based n."""
 
     def __init__(self, algorithm: str, n: int, cause: Exception):
         super().__init__(f"{algorithm} clusterer failed at n={n}: {cause}")
@@ -69,48 +69,50 @@ class StreamEngine:
         self._buffer: list[np.ndarray] = []
         self._cluster_state = None
         self._indices: IndexSet | None = None
-        self._n = 0
         self.trace: list[TraceRecord] = []
         self.events: list[EventRecord] = []
 
     @property
     def n(self) -> int:
-        return self._n
+        return len(self._buffer) if self._indices is None else self._indices.n
 
     def push(self, x) -> TraceRecord | None:
         """Process one point; returns its trace row, or None during warm-up."""
         x = as_vector(x)
+        n = self.n + 1
         if self._buffer and x.shape != self._buffer[0].shape:
-            raise ValueError(f"point n={self._n + 1} has dimension {x.size}, but the "
+            raise ValueError(f"point n={n} has dimension {x.size}, but the "
                              f"first point has dimension {self._buffer[0].size}")
-        self._n += 1
         cfg = self.config
         warmup_count, init, step = _CLUSTERERS[cfg.algorithm]
         if self._cluster_state is None:
-            self._buffer.append(x)
-            if len(self._buffer) < warmup_count(cfg, x.shape[0]):
+            buffer = self._buffer + [x]
+            if len(buffer) < warmup_count(cfg, x.shape[0]):
+                self._buffer = buffer
                 return None
             try:
-                self._cluster_state = init(self._buffer, cfg)
+                self._cluster_state = init(buffer, cfg)
             except ValueError as exc:
-                raise ClustererError(cfg.algorithm, self._n, exc) from exc
+                raise ClustererError(cfg.algorithm, n, exc) from exc
             self._indices = IndexSet.start(cfg.indices, self._cluster_state.k, x.shape[0],
-                                           lam=cfg.lam, n0=self._n)
+                                           lam=cfg.lam, n0=n)
             self._buffer = []
             return None
 
         try:
-            self._cluster_state, u, V_old, V_new, step_events = step(self._cluster_state, x, cfg)
+            cluster_state, u, V_old, V_new, step_events = step(self._cluster_state, x, cfg)
             u, V_old, V_new = u.u, V_old.centers, V_new.centers
-            if not (all_finite(u) and all_finite(V_new)):
-                raise ValueError("memberships or centers are not finite")
+            if not (np.minimum.reduce(u) >= 0.0 and np.maximum.reduce(u) <= 1.0  # nan fails
+                    and all_finite(V_new)):
+                raise ValueError("memberships are not in [0, 1] or centers are not finite")
         except ValueError as exc:
-            raise ClustererError(cfg.algorithm, self._n, exc) from exc
-
-        self._indices, values, index_events = self._indices.step(V_old, V_new, u, x)
+            raise ClustererError(cfg.algorithm, n, exc) from exc
+        indices, values, index_events = self._indices.step(V_old, V_new, u, x)
+        # Stored only now: a push that raises, here or in warm-up, changes nothing.
+        self._cluster_state, self._indices = cluster_state, indices
         for kind, detail in (*step_events, *index_events):
-            self.events.append(EventRecord(n=self._n, kind=kind, detail=detail))
-        record = TraceRecord(n=self._n, k=V_new.shape[0], values=values)
+            self.events.append(EventRecord(n=n, kind=kind, detail=detail))
+        record = TraceRecord(n=n, k=V_new.shape[0], values=values)
         self.trace.append(record)
         return record
 
@@ -130,11 +132,8 @@ def run(points, config: RunConfig, change_events=()) -> tuple[list, list]:
     engine = StreamEngine(config)
     change_set = set(int(c) for c in change_events)
     for x in points:
-        n_here = engine.n + 1
-        if n_here in change_set:
-            engine.events.append(
-                EventRecord(n=n_here, kind="ground_truth_change", detail="")
-            )
+        if engine.n + 1 in change_set:
+            engine.events.append(EventRecord(n=engine.n + 1, kind="ground_truth_change"))
         engine.push(x)
     if engine._cluster_state is None:
         raise ValueError(f"stream ended during {config.algorithm} warm-up "

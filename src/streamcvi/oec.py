@@ -239,9 +239,9 @@ def oec_init(first_points, config: OecConfig) -> OecState:
 def oec_step(state: OecState, x_new, config: OecConfig):
     """Process one point: memberships, prototype updates, creation test.
 
-    Returns (state', u, V_old, V_new, events). When a cluster is created this
-    step, u is zero-padded for it and its V_old row equals its V_new row, so
-    index states see no spurious center motion for the newborn.
+    Returns (state', u, V_old, V_new, events). u and V_old cover the
+    clusters that existed when x arrived; a cluster created this step is the
+    last row of V_new alone.
     """
     x = np.asarray(x_new, dtype=float)
     if x.shape != (state.p,):
@@ -281,7 +281,6 @@ def oec_step(state: OecState, x_new, config: OecConfig):
 
     # New-cluster test: suppressed while any cluster is still stabilizing.
     streak = 0
-    created = False
     # A minimum at or past its bound puts every entry there; nan reads as "not all".
     if np.minimum.reduce(count) >= config.n_s:
         outside_all = np.minimum.reduce(mahalanobis_sq(forget.m, m, R)) > state.chi2_out
@@ -296,7 +295,6 @@ def oec_step(state: OecState, x_new, config: OecConfig):
             if reg:
                 events.append(("covariance_regularized", f"cluster {len(m) - 1}"))
             events.append(("cluster_created", f"k={len(m)}"))
-            created = True
             streak = 0
             forget = _ForgetfulStats(m=x.copy(), S=np.zeros((state.p, state.p)), W=1.0)
 
@@ -304,9 +302,4 @@ def oec_step(state: OecState, x_new, config: OecConfig):
         m=m, R=R, count=count, W=W,
         forget=forget, outside_streak=streak, chi2_out=state.chi2_out,
     )
-    V_old = state.m
-    if created:
-        # Newborn's "old" center equals its new center; membership padded with 0.
-        V_old = np.vstack([V_old, m[-1:]])
-        u = np.append(u, 0.0)
-    return new_state, MembershipVector(u), PrototypeSet(V_old), new_state.centers(), events
+    return new_state, MembershipVector(u), state.centers(), new_state.centers(), events

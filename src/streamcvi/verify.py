@@ -72,7 +72,7 @@ def index_value(fam, C, M, V, n, lam=1.0, h=None):
     return value if math.isfinite(value) else None
 
 
-def random_stream(rng, n, k, p, center_step=0.05, empty_cluster=False):
+def random_stream(rng, n, k, p, empty_cluster=False):
     """Random memberships and center trajectories for oracle trials.
 
     Returns (X, U, Vs) where Vs[t] holds the centers after step t+1 (Vs[0]
@@ -85,7 +85,7 @@ def random_stream(rng, n, k, p, center_step=0.05, empty_cluster=False):
         U[:, :-1] += U[:, -1:] / (k - 1)
         U[:, -1] = 0.0
     V0 = rng.normal(0.0, 3.0, size=(k, p))
-    steps = rng.normal(0.0, center_step, size=(n, k, p))
+    steps = rng.normal(0.0, 0.05, size=(n, k, p))  # center drift per step
     Vs = np.concatenate([V0[None], V0[None] + np.cumsum(steps, axis=0)])
     return X, U, Vs
 
@@ -216,12 +216,11 @@ class VerificationReport:
 
 
 def run_verification(n_trials: int = 100, seed: int = 0) -> VerificationReport:
+    """``n_trials`` >= 1 trials, the last of which always has an empty cluster."""
     rng = np.random.default_rng(seed)
-    trial_seeds = rng.integers(0, 2**63 - 1, size=n_trials)
-    trials = [run_trial(int(s)) for s in trial_seeds]
-    # Make sure an empty-cluster configuration is always exercised.
-    trials.append(run_trial(int(rng.integers(0, 2**63 - 1)), k=4, lam=1.0,
-                            empty_cluster=True))
+    *trial_seeds, empty_seed = rng.integers(0, 2**63 - 1, size=n_trials).tolist()
+    trials = [run_trial(s) for s in trial_seeds]
+    trials.append(run_trial(empty_seed, k=4, lam=1.0, empty_cluster=True))
     return VerificationReport(
         trials=trials,
         lambda_one_err=lambda_one_consistency(int(rng.integers(0, 2**63 - 1))),

@@ -4,6 +4,7 @@ import pytest
 from streamcvi.cli import main
 from streamcvi.datagen import gen_s3
 from streamcvi.stream_io import read_events, read_trace
+from streamcvi.verify import run_verification
 
 
 SCENARIO_INI = """\
@@ -48,6 +49,14 @@ algorithm = dbscan
 
 [bad-dataset]
 dataset = s9
+
+[negative-seed]
+dataset = s2
+seed = -1
+
+[text-seed]
+dataset = s2
+seed = abc
 
 [bad-features]
 input = {input_path}
@@ -157,6 +166,14 @@ class TestRun:
         assert capsys.readouterr().err.startswith(f"scenario {name}: ")
         assert not (tmp_path / "res").exists()
 
+    @pytest.mark.parametrize("name, seed", [("negative-seed", "-1"), ("text-seed", "abc")])
+    def test_bad_seed_names_key_and_value(self, tmp_path, scenario_file, capsys, name, seed):
+        code = main(["run", name, "--scenario-file", str(scenario_file),
+                     "--out", str(tmp_path / "res")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"scenario {name}: seed must be a nonnegative integer, got '{seed}'\n")
+        assert not (tmp_path / "res").exists()
 
     def test_negative_feature_column_is_soft_error(self, tmp_path, scenario_file, capsys):
         # -1 would read the last column, here a label
@@ -172,7 +189,13 @@ class TestRun:
 class TestVerify:
     def test_small_run_passes(self, capsys):
         assert main(["verify", "--trials", "3", "--seed", "0"]) == 0
-        assert "PASS" in capsys.readouterr().out
+        assert "PASS (3 trials)" in capsys.readouterr().out
+
+    def test_one_trial_is_the_empty_cluster_trial(self, capsys):
+        assert main(["verify", "--trials", "1"]) == 0
+        assert "PASS (1 trials)" in capsys.readouterr().out
+        (trial,) = run_verification(n_trials=1).trials
+        assert (trial.k, trial.lam) == (4, 1.0)
 
 
 class TestArguments:
@@ -180,6 +203,7 @@ class TestArguments:
         (["generate", "s2", "--seed", "-1", "--out", "s2.csv"], "--seed"),
         (["verify", "--seed", "-1"], "--seed"),
         (["verify", "--trials", "-3"], "--trials"),
+        (["verify", "--trials", "0"], "--trials"),
     ])
     def test_negative_seed_or_trials_is_usage_error(self, tmp_path, monkeypatch, capsys,
                                                      argv, flag):
@@ -187,5 +211,7 @@ class TestArguments:
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 2
-        assert f"argument {flag}: must be a nonnegative integer" in capsys.readouterr().err
+        # --trials 0 would pass without checking anything
+        kind = "positive" if flag == "--trials" else "nonnegative"
+        assert f"argument {flag}: must be a {kind} integer" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())

@@ -268,8 +268,9 @@ class TestIndexSet:
         V1 = np.array([[0.0, 0.0]])
         state, _ = update("xb", state, V1, V1, [1.0], [1.0, 0.0])
         V2 = np.array([[0.0, 0.0], [5.0, 0.0]])
-        u = np.array([1.0, 0.0])  # newborn padded with u = 0
-        state, values, _ = state.step(V2, V2, u, np.array([0.0, 1.0]))
+        with pytest.raises(ValueError):  # u and V_old cover only the old cluster
+            state.step(V2, V2, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        state, values, _ = state.step(V1, V2, np.ones(1), np.array([0.0, 1.0]))
         assert state.lam == (1.0, 0.9) and state.C.shape == (2, 2) and state.n == 5
         assert np.array_equal(state.M, [[3.0 + 1.0 + 1.0, 0.0],
                                         [(0.9 * 3.0 + 1.0) * 0.9 + 1.0, 0.0]])
@@ -286,7 +287,7 @@ class TestIndexSet:
         V1 = np.zeros((1, 2))
         state, _, _ = state.step(V1, V1, np.ones(1), np.array([3.0, 4.0]))
         V3 = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
-        state, _, _ = state.step(V3, V3, np.zeros(3), np.zeros(2))
+        state, _, _ = state.step(V1, V3, np.zeros(1), np.zeros(2))
         assert state.lam == (1.0, 0.9)
         assert np.array_equal(state.C, [[25.0, 0.0, 0.0], [0.9 * 25.0, 0.0, 0.0]])
         assert np.array_equal(state.G, [[[3.0, 4.0], [0.0, 0.0], [0.0, 0.0]],

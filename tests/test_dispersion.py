@@ -72,15 +72,13 @@ class TestUpdateDispersion:
                               np.array([1.0]), np.ones(2))
 
     def test_non_finite_input(self):
-        # A point is validated once, where it enters the engine.
+        # A point is validated once, where it enters the engine, and a
+        # step's memberships once, by the engine after the clusterer step
+        # (tests/test_engine.py, TestFailedPush).
         engine = StreamEngine(RunConfig(k=1))
         engine.push([0.0, 0.0])
         with pytest.raises(ValueError):
             engine.push([np.nan, 0.0])
-        with pytest.raises(ValueError):
-            step1(empty(1, 2), [0, 0], [0, 0], np.nan, [1, 1])
-        with pytest.raises(ValueError):
-            step1(empty(1, 2), [0, 0], [0, 0], 1.5, [1, 1])
 
 
 class TestUpdateDispersionForgetting:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from streamcvi.core import pairwise_sq_distances
+from streamcvi.core import MembershipVector, PrototypeSet, pairwise_sq_distances
 from streamcvi.cvi import INDEX_FAMILIES, IndexSet
 from streamcvi.datagen import gen_s1, gen_s2, gen_s3
 from streamcvi.engine import ClustererError, RunConfig, StreamEngine, run
@@ -320,6 +320,61 @@ class TestTraceSemantics:
         t2, e2 = run(X, config)
         assert t1 == t2
         assert e1 == e2
+
+
+def corrupted(step, field, value):
+    """``step`` with entry 0 of its memberships (field "u") or of its new
+    centers (field "V_new") replaced by ``value``, in copies: the clusterer
+    state the step returns is left as it computed it."""
+    def wrapper(*args):
+        state, u, V_old, V_new, *events = step(*args)
+        u, V_new = u.u.copy(), V_new.centers.copy()
+        (u if field == "u" else V_new).flat[0] = value
+        return (state, MembershipVector(u), V_old, PrototypeSet(V_new), *events)
+    return wrapper
+
+
+class TestFailedPush:
+    # (config, stream, 0-based index of the rejected point): under OEC it is
+    # the point of the first birth on s3, which changes the state's size
+    CASES = {
+        "skmeans": (RunConfig(k=2), gaussian_pair(8, n=80), 39),
+        "oec": (RunConfig(algorithm="oec"), gen_s3(0).X()[:260], 220),
+    }
+
+    @pytest.mark.parametrize("field, value", [("u", 1.5), ("u", -0.1), ("u", np.nan),
+                                              ("V_new", np.inf)])
+    @pytest.mark.parametrize("algorithm", ["skmeans", "oec"])
+    def test_failed_push_changes_nothing(self, monkeypatch, algorithm, field, value):
+        config, X, bad = self.CASES[algorithm]
+        name = f"streamcvi.engine.{algorithm}_step"
+        step = skmeans_step if algorithm == "skmeans" else oec_step
+        engine = StreamEngine(config)
+        for x in X[:bad]:
+            engine.push(x)
+        before = (engine.n, engine.state_float_count(), len(engine.trace), len(engine.events))
+        monkeypatch.setattr(name, corrupted(step, field, value))
+        with pytest.raises(ClustererError, match=rf"{algorithm} .*n={bad + 1}") as info:
+            engine.push(X[bad])
+        assert info.value.n == bad + 1 and info.value.algorithm == algorithm
+        after = (engine.n, engine.state_float_count(), len(engine.trace), len(engine.events))
+        assert after == before
+        monkeypatch.setattr(name, step)
+        for x in X[bad + 1:]:
+            engine.push(x)
+        assert (engine.trace, engine.events) == run(np.delete(X, bad, axis=0), config)
+
+    def test_failed_warmup_changes_nothing(self):
+        # OEC's warm-up covariance overflows at n=3 (see
+        # test_clusterer_failure_names_n_and_algorithm)
+        engine = StreamEngine(RunConfig(algorithm="oec"))
+        X = gen_s3(0).X()[:3] * 1e200
+        engine.push(X[0])
+        engine.push(X[1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ClustererError, match="n=3"):
+                engine.push(X[2])
+        assert engine.n == 2 and engine.state_float_count() == 4
 
 
 DEGENERATE_CONFIGS = [RunConfig(k=2), RunConfig(k=3), RunConfig(k=5),

@@ -301,8 +301,9 @@ class TestOecStep:
                 assert state.m.shape == (k, p) and state.R.shape == (k, p, p)
                 assert state.count.shape == state.W.shape == (k,)
                 assert state.count[-1] == p + 1 and state.W[-1] == p + 1
-                assert np.array_equal(V_old.centers[k - 1], V_new.centers[k - 1])
-                assert u.u.shape == (k,) and u.u[-1] == 0.0
+                # u and V_old cover only the clusters that existed before
+                assert np.array_equal(V_old.centers, prev.m)
+                assert V_new.centers.shape == (k, p) and u.u.shape == (k - 1,)
                 assert events[-1] == ("cluster_created", f"k={k}")
             prev = state
         assert births >= 3
