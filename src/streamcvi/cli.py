@@ -97,7 +97,10 @@ def _scenario_config(sec) -> RunConfig:
     fields = {RunConfig: {}, OecConfig: {}}
     for key, (cls, name, parse) in CONFIG_KEYS.items():
         if key in sec:
-            fields[cls][name] = parse(sec[key])
+            try:
+                fields[cls][name] = parse(sec[key])
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
     return RunConfig(oec=OecConfig(**fields[OecConfig]), **fields[RunConfig])
 
 
@@ -117,7 +120,11 @@ def _load_points(sec):
         raise ValueError("needs either 'dataset' or 'input'")
     schema = StreamSchema()
     if "features" in sec:
-        schema = StreamSchema(feature_columns=tuple(int(c) for c in sec["features"].split(",")))
+        try:
+            columns = tuple(int(c) for c in sec["features"].split(","))
+        except ValueError as exc:
+            raise ValueError(f"features: {exc}") from None
+        schema = StreamSchema(feature_columns=columns)
     points, _ = read_stream(sec["input"], schema)
     return [pt.x for pt in points], ()
 

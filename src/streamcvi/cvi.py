@@ -1,24 +1,24 @@
 """Incremental Xie-Beni and Davies-Bouldin indices, with and without forgetting.
 
-Four variants are maintained over a stream of (u, V_old, V_new, x) steps
-produced by an online clusterer:
+Four variants are maintained over a stream of (V_new, u, x) steps produced by
+an online clusterer:
 
     xb        : J / (n * h)          J = sum_i C_i, h = min squared center gap
     xb_lambda : (1 - lam) * J_lam / h
     db        : mean_i max_{j!=i} (L_i + L_j) / ||v_i - v_j||^2, L_i = C_i / M_i
     db_lambda : same with L_i = C_lam_i / max(1, M_lam_i)
 
-Every variant is a read-out of per-cluster accumulators (C, G, M): xb and db
-read the lam=1 row, xb_lambda and db_lambda the lam row. An IndexSet holds
-the (C, G, M) arrays with a row for each forgetting factor its families
-need, so at most two, advances them with dispersion.update_dispersion and
-reads every DB variant in one pass.
+Every variant is a read-out of per-cluster accumulators (D, mu, M): the
+dispersion about the current centers is C = D + M*||mu - v||^2 (see
+dispersion.py). xb and db read the lam=1 row, xb_lambda and db_lambda the lam
+row. An IndexSet holds the (D, mu, M) arrays with a row for each forgetting
+factor its families need, so at most two, advances them with
+dispersion.update_dispersion and reads every DB variant in one pass.
 
 Both indices are min-optimal. An undefined value (coincident centers, a
 single cluster for DB, or a non-finite read-out) is None, never raised: the
 state still advances. A step reports what happened as (kind, detail) events:
-``dispersion_clamped`` naming the factor of each row whose dispersion it
-clamped to 0, then one ``index_undefined`` per family read as None.
+one ``index_undefined`` per family read as None.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import pairwise_sq_distances
-from .dispersion import per_row, update_dispersion
+from .dispersion import dispersion_about, per_row, update_dispersion
 
 INDEX_FAMILIES = ("xb", "xb_lambda", "db", "db_lambda")
 
@@ -78,7 +78,7 @@ class _Readout:
 class IndexSet:
     """State of every enabled index family: one immutable value per stream point.
 
-    ``C``, ``G`` and ``M`` hold one row per forgetting factor in ``lam``:
+    ``D``, ``mu`` and ``M`` hold one row per forgetting factor in ``lam``:
     lam=1 (xb, db) first, then lam (xb_lambda, db_lambda), each only if a
     family reads it. A step returns new arrays and never writes into these.
     ``h`` is the XB separation of the last step: the minimum squared center
@@ -87,18 +87,18 @@ class IndexSet:
 
     families: tuple[str, ...]
     lam: tuple[float, ...]
-    C: np.ndarray  # (s, k) dispersion
-    G: np.ndarray  # (s, k, p) membership-weighted offsets from the center
-    M: np.ndarray  # (s, k) accumulated squared membership
+    D: np.ndarray   # (s, k) scatter about mu
+    mu: np.ndarray  # (s, k, p) membership-weighted mean of the points
+    M: np.ndarray   # (s, k) accumulated squared membership
     h: float
     n: int
     readout: _Readout
 
     @classmethod
-    def start(cls, families, k: int, p: int, lam: float = 1.0,
-              n0: int = 0) -> "IndexSet":
-        """Fresh state after ``n0`` warm-up points; each cluster starts with
-        the warm-up count as its membership mass."""
+    def start(cls, families, V0, lam: float = 1.0, n0: int = 0) -> "IndexSet":
+        """Fresh state after ``n0`` warm-up points: each of the clusters at
+        the (k, p) initial centers ``V0`` starts with the warm-up count as
+        its membership mass, placed at its center."""
         families = check_families(families, lam)
         if n0 < 0:
             raise ValueError(f"warm-up count must be nonnegative, got {n0}")
@@ -114,34 +114,33 @@ class IndexSet:
             db_floor=per_row([1.0 if f < 1.0 else _EMPTY_CLUSTER_FLOOR for f in lams])
             if any(fam.startswith("db") for fam in families) else None,
         )
-        s = len(lams)
-        return cls(families, lams, np.zeros((s, k)), np.zeros((s, k, p)),
-                   np.full((s, k), float(n0)), 0.0, n0, readout)
+        mu = np.array([V0] * len(lams), dtype=float)
+        s, k = mu.shape[:2]
+        return cls(families, lams, np.zeros((s, k)), mu, np.full((s, k), float(n0)),
+                   0.0, n0, readout)
 
     def float_count(self) -> int:
-        return self.C.size + self.G.size + self.M.size + 2  # + h, n
+        return self.D.size + self.mu.size + self.M.size + 2  # + h, n
 
-    def step(self, V_old: np.ndarray, V_new: np.ndarray, u: np.ndarray,
+    def step(self, V_new: np.ndarray, u: np.ndarray,
              x: np.ndarray) -> tuple["IndexSet", dict[str, float | None], list]:
-        """Advance by one clustering step from the (k, p) centers before and
-        after it, the (k,) memberships and the (p,) point; returns the new
-        state, each family's value (None where undefined) and the step's
-        (kind, detail) events: ``("dispersion_clamped", "lam=...")`` first if
-        any row was clamped, then ``("index_undefined", family)`` for each
-        None, in ``families`` order. Each row of ``V_new`` past the current k
-        is a cluster born this step: empty accumulators, no motion, u = 0. u
-        must be in [0, 1] and every array finite; nothing here re-checks them."""
+        """Advance by one clustering step from the (k, p) centers after it,
+        the memberships and the (p,) point; returns the new state, each
+        family's value (None where undefined) and the step's (kind, detail)
+        events: ``("index_undefined", family)`` for each None, in ``families``
+        order. ``u`` covers the clusters the state holds; each row of
+        ``V_new`` past them is a cluster born this step, which starts empty
+        (M = 0, D = 0) with its mean at its center. u must be in [0, 1] and
+        every array finite; nothing here re-checks them."""
+        D, mu, M = update_dispersion(self.D, self.mu, self.M, self.lam, u, x)
         k = V_new.shape[0]
-        C, G, M = self.C, self.G, self.M
-        born = k - C.shape[1]
+        born = k - M.shape[1]
+        if born < 0 or V_new.shape[1:] != x.shape:
+            raise ValueError(f"centers of shape {V_new.shape} after {mu.shape[1]} clusters")
         if born > 0:
-            s, _, p = G.shape
-            C = np.concatenate([C, np.zeros((s, born))], axis=1)
-            G = np.concatenate([G, np.zeros((s, born, p))], axis=1)
-            M = np.concatenate([M, np.zeros((s, born))], axis=1)
-            V_old = np.concatenate([V_old, V_new[-born:]])
-            u = np.concatenate([u, np.zeros(born)])
-        C, G, M, clamped = update_dispersion(C, G, M, self.lam, V_old, V_new, u, x)
+            D, M = (np.pad(a, ((0, 0), (0, born))) for a in (D, M))
+            mu = np.concatenate([mu, [V_new[-born:]] * len(mu)], axis=1)
+        C = dispersion_about(D, mu, M, V_new)
         n = self.n + 1
         ro = self.readout
         db = None
@@ -170,6 +169,5 @@ class IndexSet:
                 value = math.nan if db is None else db[row]
             # Overflow in the accumulators reads out as inf or nan: undefined.
             values[fam] = value if math.isfinite(value) else None
-        events = [("dispersion_clamped", "lam=" + ",".join(map(repr, clamped)))] if clamped else []
-        events += [("index_undefined", fam) for fam, value in values.items() if value is None]
-        return IndexSet(self.families, self.lam, C, G, M, h, n, ro), values, events
+        events = [("index_undefined", fam) for fam, value in values.items() if value is None]
+        return IndexSet(self.families, self.lam, D, mu, M, h, n, ro), values, events

@@ -1,25 +1,26 @@
 """Exact one-step updates of the fuzzy within-cluster dispersion.
 
-For each cluster the accumulator triple (C, G, M) makes the running
-dispersion exactly recomputable after the center moves, without re-reading
-history:
+For each cluster the state (D, mu, M) holds the lam-weighted mass M of its
+squared memberships, the weighted mean mu of its points and their weighted
+scatter D about mu. A sample x with membership u enters by a weighted
+Welford step, which needs no centers:
 
-    C' = lam*C + 2*lam*Q + lam*M*B + A
-    G' = lam*G + lam*M*(v_old - v_new) + u^2*(x - v_new)
-    M' = lam*M + u^2
+    w   = u^2
+    M'  = lam*M + w
+    r   = w / M'                 (0 when M' = 0, which needs w = 0)
+    mu' = mu + r*(x - mu)
+    D'  = lam*D + lam*M*r*||x - mu||^2
 
-with the per-step intermediates
+The dispersion about any center v is then read out exactly as
 
-    Q = (v_old - v_new) . G
-    B = ||v_old - v_new||^2
-    A = u^2 * ||x - v_new||^2
+    C = D + M*||mu - v||^2,
+
+a sum of two non-negative terms, so C >= 0 by construction.
 
 lam = 1 means no forgetting. The arrays hold a row of every cluster for each
-forgetting factor in use: C and M are (s, k), G is (s, k, p), and lam holds
-the s factors. One update advances all s*k rows. B, A and the center moves
-are computed once, as (k,) and (k, p) arrays that broadcast over the s rows.
-Each contraction is one call of the gufunc np.vecdot. An update never writes
-into its inputs.
+forgetting factor in use: D and M are (s, k), mu is (s, k, p), and lam holds
+the s factors. One update advances all s*k rows. Each contraction is one
+call of the gufunc np.vecdot. An update never writes into its inputs.
 """
 
 from __future__ import annotations
@@ -28,58 +29,47 @@ from functools import lru_cache
 
 import numpy as np
 
+# M' = 0 only when w = 0 as well, so flooring the divisor at the smallest
+# positive float gives r = w / M' for every M' > 0, and r = 0 / floor = 0.
+_SMALLEST = float(np.finfo(float).smallest_subnormal)
 
-def per_row(values, ndim: int = 2):
-    """One value per accumulator row, shaped to scale arrays of ``ndim``
-    dimensions whose first axis is the row: a Python float (numpy's cheapest
-    operand) when there is one row, else an (s, 1, ...) column."""
+
+def per_row(values):
+    """One value per accumulator row, shaped to scale (s, k) arrays: a Python
+    float (numpy's cheapest operand) when there is one row, else an (s, 1)
+    column."""
     if len(values) == 1:
         return float(values[0])
-    column = np.array(values, dtype=float).reshape((-1,) + (1,) * (ndim - 1))
+    column = np.array(values, dtype=float).reshape(-1, 1)
     column.flags.writeable = False  # shared by every step of a run
     return column
 
 
-@lru_cache(maxsize=16)
-def _factors(lam: tuple[float, ...]):
-    """lam and 2*lam to scale (s, k) arrays, and lam to scale (s, k, p) ones."""
-    return per_row(lam), per_row([2.0 * f for f in lam]), per_row(lam, 3)
+_lam_factor = lru_cache(maxsize=16)(per_row)
 
 
-def _clamp_C(C: np.ndarray, lam: tuple[float, ...]) -> tuple[np.ndarray, tuple[float, ...]]:
-    """Rounding can leave a dispersion slightly negative: set it to 0 and
-    return the factor of every row that needed it."""
-    if not np.minimum.reduce(C, axis=None) < 0.0:
-        return C, ()
-    rows = (C < 0.0).any(axis=1).tolist()
-    return np.maximum(C, 0.0), tuple(f for f, hit in zip(lam, rows) if hit)
+def update_dispersion(D, mu, M, lam: tuple[float, ...], u, x):
+    """Advance every cluster's (D, mu, M), under every forgetting factor in
+    ``lam``, by one sample; returns the new (D, mu, M).
 
-
-def update_dispersion(C, G, M, lam: tuple[float, ...], V_old, V_new, u, x):
-    """Advance every cluster's (C, G, M), under every forgetting factor in
-    ``lam``, by one sample; returns the new (C, G, M) and the factor of every
-    row whose dispersion was clamped to 0 (see ``_clamp_C``).
-
-    ``V_old``/``V_new`` are the (k, p) centers before and after the clustering
-    step, ``u`` the (k,) memberships of ``x``. The caller validates that ``u``
-    lies in [0, 1], and that ``x`` is a finite (p,) float vector.
+    ``u`` holds the (k,) memberships of ``x``. The caller validates that
+    ``u`` lies in [0, 1], and that ``x`` is a finite (p,) float vector.
     """
-    shape = G.shape[1:]
-    if V_old.shape != shape or V_new.shape != shape or u.shape != shape[:1]:
-        raise ValueError(
-            f"step shapes (centers {V_old.shape}/{V_new.shape}, memberships {u.shape}) "
-            f"disagree with accumulators of shape {G.shape}"
-        )
-    if x.shape != shape[1:]:
-        raise ValueError(f"expected dimension {shape[1]}, got shape {x.shape}")
-    lam_C, two_lam, lam_G = _factors(lam)
-    dV = V_old - V_new
-    R = x - V_new
-    u2 = u * u
-    Q = np.vecdot(G, dV)
-    B = np.vecdot(dV, dV)
-    A = u2 * np.vecdot(R, R)
-    lam_M = lam_C * M
-    C, clamped = _clamp_C(lam_C * C + two_lam * Q + lam_M * B + A, lam)
-    G = lam_G * G + lam_M[:, :, None] * dV + u2[:, None] * R
-    return C, G, lam_M + u2, clamped
+    if u.shape != mu.shape[1:2]:
+        raise ValueError(f"memberships of shape {u.shape} for accumulators of shape {mu.shape}")
+    if x.shape != mu.shape[2:]:
+        raise ValueError(f"expected dimension {mu.shape[2]}, got shape {x.shape}")
+    lam = _lam_factor(lam)
+    w = u * u
+    lam_M = lam * M
+    M = lam_M + w
+    r = w / np.maximum(M, _SMALLEST)
+    d = x - mu
+    return lam * D + lam_M * r * np.vecdot(d, d), mu + r[:, :, None] * d, M
+
+
+def dispersion_about(D, mu, M, V):
+    """Each row's dispersion about the (k, p) centers ``V``:
+    C = D + M*||mu - V||^2, an (s, k) array."""
+    gap = mu - V
+    return D + M * np.vecdot(gap, gap)

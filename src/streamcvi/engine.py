@@ -20,16 +20,18 @@ from .oec import OecConfig, oec_init, oec_step
 from .skmeans import skmeans_init, skmeans_step
 from .stream_io import EventRecord, TraceRecord
 
-# algorithm -> (warm-up count(cfg, p), init(points, cfg), step(state, x, cfg));
-# every step returns (state, u, V_old, V_new, events). The lambdas look the
-# clusterer functions up in this module's globals at call time, so a name
-# patched here (by a test or a tracer) is the one that runs.
+# algorithm -> (warm-up count(cfg, p), init(points, cfg), centers(state),
+# step(state, x, cfg)); every step returns (state, u, V_old, V_new, events).
+# The lambdas look the clusterer functions up in this module's globals at call
+# time, so a name patched here (by a test or a tracer) is the one that runs.
 _CLUSTERERS = {
     "skmeans": (lambda cfg, p: cfg.k,
                 lambda points, cfg: skmeans_init(points),
+                lambda state: state.V,
                 lambda state, x, cfg: (*skmeans_step(state, x), ())),
     "oec": (lambda cfg, p: p + 1,
             lambda points, cfg: oec_init(points, cfg.oec),
+            lambda state: state.m,
             lambda state, x, cfg: oec_step(state, x, cfg.oec)),
 }
 
@@ -84,7 +86,7 @@ class StreamEngine:
             raise ValueError(f"point n={n} has dimension {x.size}, but the "
                              f"first point has dimension {self._buffer[0].size}")
         cfg = self.config
-        warmup_count, init, step = _CLUSTERERS[cfg.algorithm]
+        warmup_count, init, centers, step = _CLUSTERERS[cfg.algorithm]
         if self._cluster_state is None:
             buffer = self._buffer + [x]
             if len(buffer) < warmup_count(cfg, x.shape[0]):
@@ -94,20 +96,20 @@ class StreamEngine:
                 self._cluster_state = init(buffer, cfg)
             except ValueError as exc:
                 raise ClustererError(cfg.algorithm, n, exc) from exc
-            self._indices = IndexSet.start(cfg.indices, self._cluster_state.k, x.shape[0],
+            self._indices = IndexSet.start(cfg.indices, centers(self._cluster_state),
                                            lam=cfg.lam, n0=n)
             self._buffer = []
             return None
 
         try:
-            cluster_state, u, V_old, V_new, step_events = step(self._cluster_state, x, cfg)
-            u, V_old, V_new = u.u, V_old.centers, V_new.centers
+            cluster_state, u, _, V_new, step_events = step(self._cluster_state, x, cfg)
+            u, V_new = u.u, V_new.centers
             if not (np.minimum.reduce(u) >= 0.0 and np.maximum.reduce(u) <= 1.0  # nan fails
                     and all_finite(V_new)):
                 raise ValueError("memberships are not in [0, 1] or centers are not finite")
         except ValueError as exc:
             raise ClustererError(cfg.algorithm, n, exc) from exc
-        indices, values, index_events = self._indices.step(V_old, V_new, u, x)
+        indices, values, index_events = self._indices.step(V_new, u, x)
         # Stored only now: a push that raises, here or in warm-up, changes nothing.
         self._cluster_state, self._indices = cluster_state, indices
         for kind, detail in (*step_events, *index_events):

@@ -39,9 +39,9 @@ def skmeans_init(first_k_points) -> SkMeansState:
 def skmeans_step(state: SkMeansState, x_new):
     """Assign x to the nearest prototype (ties: lowest index) and update it.
 
-    Returns (state', u_crisp, V_old, V_new); the center snapshots feed the
-    incremental index update. States are immutable values, so the snapshots
-    share their arrays with the old and new state.
+    Returns (state', u_crisp, V_old, V_new); V_new feeds the incremental
+    index update. States are immutable values, so the snapshots share their
+    arrays with the old and new state.
     """
     x = np.asarray(x_new, dtype=float)
     if x.shape != (state.p,):

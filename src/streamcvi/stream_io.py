@@ -77,26 +77,30 @@ def read_stream(path, schema: StreamSchema = StreamSchema()):
         max(schema.feature_columns),
         -1 if schema.label_column is None else schema.label_column,
     )
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for row_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) <= needed:
-                raise IngestionError(f"row {row_no}: expected at least {needed + 1} columns")
-            try:  # float() rejects a non-numeric cell, StreamPoint a non-finite one
-                points.append(StreamPoint([float(row[c]) for c in schema.feature_columns]))
-            except ValueError as exc:
-                raise IngestionError(f"row {row_no}: bad feature value ({exc})") from None
-            if labels is not None:
-                cell = row[schema.label_column]
-                try:
-                    label = float(cell)
-                except ValueError:
-                    raise IngestionError(f"row {row_no}: non-numeric label cell") from None
-                if not label.is_integer():  # also False for inf and nan
-                    raise IngestionError(f"row {row_no}: label {cell!r} is not a finite integer")
-                labels.append(int(label))
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            for row_no, row in enumerate(reader, start=1):
+                if not row:
+                    continue
+                if len(row) <= needed:
+                    raise IngestionError(f"row {row_no}: expected at least {needed + 1} columns")
+                try:  # float() rejects a non-numeric cell, StreamPoint a non-finite one
+                    points.append(StreamPoint([float(row[c]) for c in schema.feature_columns]))
+                except ValueError as exc:
+                    raise IngestionError(f"row {row_no}: bad feature value ({exc})") from None
+                if labels is not None:
+                    cell = row[schema.label_column]
+                    try:
+                        label = float(cell)
+                    except ValueError:
+                        raise IngestionError(f"row {row_no}: non-numeric label cell") from None
+                    if not label.is_integer():  # also False for inf and nan
+                        raise IngestionError(
+                            f"row {row_no}: label {cell!r} is not a finite integer")
+                    labels.append(int(label))
+    except UnicodeDecodeError:
+        raise IngestionError(f"stream file {path} is not UTF-8 text") from None
     return points, labels
 
 

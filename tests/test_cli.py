@@ -62,6 +62,14 @@ seed = abc
 input = {input_path}
 features = 0,-1
 algorithm = skmeans
+
+[fractional-k]
+dataset = s3
+k = 1.5
+
+[text-features]
+input = {input_path}
+features = a,b
 """
 
 
@@ -183,6 +191,16 @@ class TestRun:
         assert code == 1
         assert capsys.readouterr().err.startswith(
             "scenario bad-features: column indices must be nonnegative integers, got -1")
+        assert not (tmp_path / "res").exists()
+
+
+    @pytest.mark.parametrize("name, key", [("fractional-k", "k"), ("text-features", "features")])
+    def test_unparsable_value_names_its_key(self, tmp_path, scenario_file, capsys, name, key):
+        (tmp_path / "in.csv").write_text("1.0,2.0\n")
+        code = main(["run", name, "--scenario-file", str(scenario_file),
+                     "--out", str(tmp_path / "res")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"scenario {name}: {key}: ")
         assert not (tmp_path / "res").exists()
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from streamcvi.core import MembershipVector, PrototypeSet, pairwise_sq_distances
 from streamcvi.cvi import INDEX_FAMILIES, IndexSet
 from streamcvi.datagen import gen_s1, gen_s2, gen_s3
+from streamcvi.dispersion import dispersion_about
 from streamcvi.engine import ClustererError, RunConfig, StreamEngine, run
 from streamcvi.oec import oec_init, oec_step
 from streamcvi.skmeans import skmeans_init, skmeans_step
@@ -130,7 +131,8 @@ class TestRunConfig:
 class TestInitModes:
     def test_paper_mode_seeds_mass_with_warmup_count(self):
         # the index state right after OEC's warm-up: p + 1 = 4 points in 3-d,
-        # one cluster holding the warm-up count as mass in every row
+        # one cluster holding the warm-up count as mass, with no scatter, at
+        # the initial center in every row
         engine = StreamEngine(RunConfig(algorithm="oec"))
         for x in np.random.default_rng(8).normal(size=(4, 3)):
             engine.push(x)
@@ -138,6 +140,8 @@ class TestInitModes:
         assert state.n == 4
         assert state.lam == (1.0, 0.9)
         assert np.array_equal(state.M, [[4.0], [4.0]])
+        assert np.array_equal(state.D, np.zeros((2, 1)))
+        assert np.array_equal(state.mu, [engine._cluster_state.m] * 2)
 
 
 class TestWarmup:
@@ -295,23 +299,26 @@ class TestTraceSemantics:
             engine.push([0.0, 0.0])
         assert info.value.n == 6 and info.value.algorithm == "skmeans"
 
-    def test_dispersion_clamp_is_logged_once(self):
-        # a hand-built index state whose lam row goes negative on the next
-        # point: x = (1, 0) moves center 0 from (0, 0) to (0.5, 0), so
-        # Q = -50 and C' = 2 * 0.9 * Q + A < 0 in that row only
+    def test_far_mean_reads_out_nonnegative_dispersion(self):
+        # a hand-built index state whose lam row holds its mass far from
+        # every center: the read-out stays a sum of non-negative terms, every
+        # value is defined and non-negative, and no event is logged
         engine = StreamEngine(RunConfig(algorithm="skmeans", k=2))
         engine.push([0.0, 0.0])
         engine.push([10.0, 0.0])
         state = engine._indices
         assert state.lam == (1.0, 0.9)
-        G = np.zeros((2, 2, 2))
-        G[1, 0] = [100.0, 0.0]
-        engine._indices = dataclasses.replace(state, C=np.zeros((2, 2)), G=G,
-                                              M=np.zeros((2, 2)))
-        engine.push([1.0, 0.0])
-        engine.push([10.0, 0.0])  # moves no center: nothing to clamp
-        clamps = [e for e in engine.events if e.kind == "dispersion_clamped"]
-        assert [(e.n, e.detail) for e in clamps] == [(3, "lam=0.9")]
+        mu = np.zeros((2, 2, 2))
+        mu[1, 0] = [100.0, 0.0]
+        engine._indices = dataclasses.replace(state, D=np.zeros((2, 2)), mu=mu,
+                                              M=np.array([[0.0, 0.0], [2.0, 0.0]]))
+        for x in ([1.0, 0.0], [10.0, 0.0]):
+            record = engine.push(x)
+            assert all(v is not None and v >= 0.0 for v in record.values.values())
+            state = engine._indices
+            C = dispersion_about(state.D, state.mu, state.M, engine._cluster_state.V)
+            assert np.minimum.reduce(C, axis=None) >= 0.0
+        assert engine.events == []
 
     def test_deterministic_rerun(self):
         X = gaussian_pair(6, n=300)
@@ -549,16 +556,18 @@ class TestImmutableStates:
                 assert_same(frozen, snapshot(prev))
             if engine._indices is not None:
                 prev, frozen = engine._indices, snapshot(engine._indices)
-        assert prev.C.shape[1] >= 2
+        assert prev.M.shape[1] >= 2
 
-    def test_clamping_index_step_leaves_earlier_state_unchanged(self):
-        # the hand-built lam row of test_dispersion_clamp_is_logged_once
-        state = IndexSet.start(("xb", "xb_lambda"), 1, 2, lam=0.9)
-        state = dataclasses.replace(state, G=np.array([[[0.0, 0.0]], [[100.0, 0.0]]]))
+    def test_birth_index_step_leaves_earlier_state_unchanged(self):
+        # the hand-built lam row of test_far_mean_reads_out_nonnegative_dispersion,
+        # through a step that also appends a newborn cluster
+        state = IndexSet.start(("xb", "xb_lambda"), np.zeros((1, 2)), lam=0.9)
+        state = dataclasses.replace(state, mu=np.array([[[0.0, 0.0]], [[100.0, 0.0]]]),
+                                    M=np.array([[0.0], [2.0]]))
         frozen = snapshot(state)
-        _, _, events = state.step(np.zeros((1, 2)), np.array([[0.5, 0.0]]), np.ones(1),
-                                  np.array([1.0, 0.0]))
-        assert events == [("dispersion_clamped", "lam=0.9")]
+        _, values, events = state.step(np.array([[0.5, 0.0], [5.0, 0.0]]), np.ones(1),
+                                       np.array([1.0, 0.0]))
+        assert events == [] and all(v >= 0.0 for v in values.values())
         assert_same(frozen, snapshot(state))
 
 

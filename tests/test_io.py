@@ -54,6 +54,12 @@ class TestReadStream:
         with pytest.raises(IngestionError, match="not found"):
             read_stream(tmp_path / "nope.csv")
 
+    def test_non_utf8_file_names_the_file(self, tmp_path):
+        f = tmp_path / "latin.csv"
+        f.write_bytes(b"1.0,2.0\n\xff\xfe,3.0\n")
+        with pytest.raises(IngestionError, match=r"latin\.csv is not UTF-8"):
+            read_stream(f)
+
 
 class TestStreamSchema:
     def test_default_and_range_layouts_valid(self):
