@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,12 +71,11 @@ class _Readout:
     xb_scale: tuple[float, ...]     # 1 - lam, or 1 without forgetting
     xb_per_point: tuple[bool, ...]  # XB divides by n: no forgetting
     xb: bool                        # some xb family is enabled
-    db_floor: float | np.ndarray | None  # per-row floor on M in L = C / max(floor, M);
-                                         # None when no db family is enabled
+    db_floor: np.ndarray | None     # per-row floor on M in L = C / max(floor, M);
+                                    # None when no db family is enabled
 
 
-@dataclass(frozen=True)
-class IndexSet:
+class IndexSet(NamedTuple):
     """State of every enabled index family: one immutable value per stream point.
 
     ``D``, ``mu`` and ``M`` hold one row per forgetting factor in ``lam``:

@@ -29,20 +29,19 @@ from functools import lru_cache
 
 import numpy as np
 
+def per_row(values):
+    """One value per accumulator row, shaped to scale (s, k) arrays: a 0-d
+    array (numpy's cheapest operand: a Python float costs a conversion on
+    every call) when there is one row, else an (s, 1) column."""
+    a = np.array(values, dtype=float)
+    a = a.reshape(()) if a.size == 1 else a.reshape(-1, 1)
+    a.flags.writeable = False  # shared by every step of a run
+    return a
+
+
 # M' = 0 only when w = 0 as well, so flooring the divisor at the smallest
 # positive float gives r = w / M' for every M' > 0, and r = 0 / floor = 0.
-_SMALLEST = float(np.finfo(float).smallest_subnormal)
-
-
-def per_row(values):
-    """One value per accumulator row, shaped to scale (s, k) arrays: a Python
-    float (numpy's cheapest operand) when there is one row, else an (s, 1)
-    column."""
-    if len(values) == 1:
-        return float(values[0])
-    column = np.array(values, dtype=float).reshape(-1, 1)
-    column.flags.writeable = False  # shared by every step of a run
-    return column
+_SMALLEST = per_row([np.finfo(float).smallest_subnormal])
 
 
 _lam_factor = lru_cache(maxsize=16)(per_row)

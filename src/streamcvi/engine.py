@@ -71,6 +71,7 @@ class StreamEngine:
         self._buffer: list[np.ndarray] = []
         self._cluster_state = None
         self._indices: IndexSet | None = None
+        self._step = None  # the clusterer's table entry, bound when warm-up ends
         self.trace: list[TraceRecord] = []
         self.events: list[EventRecord] = []
 
@@ -81,30 +82,15 @@ class StreamEngine:
     def push(self, x) -> TraceRecord | None:
         """Process one point; returns its trace row, or None during warm-up."""
         x = as_vector(x)
-        n = self.n + 1
-        if self._buffer and x.shape != self._buffer[0].shape:
-            raise ValueError(f"point n={n} has dimension {x.size}, but the "
-                             f"first point has dimension {self._buffer[0].size}")
         cfg = self.config
-        warmup_count, init, centers, step = _CLUSTERERS[cfg.algorithm]
-        if self._cluster_state is None:
-            buffer = self._buffer + [x]
-            if len(buffer) < warmup_count(cfg, x.shape[0]):
-                self._buffer = buffer
-                return None
-            try:
-                self._cluster_state = init(buffer, cfg)
-            except ValueError as exc:
-                raise ClustererError(cfg.algorithm, n, exc) from exc
-            self._indices = IndexSet.start(cfg.indices, centers(self._cluster_state),
-                                           lam=cfg.lam, n0=n)
-            self._buffer = []
+        if self._step is None:
+            self._warm_up(x, cfg)
             return None
-
+        n = self._indices.n + 1
         try:
-            cluster_state, u, _, V_new, step_events = step(self._cluster_state, x, cfg)
+            cluster_state, u, _, V_new, step_events = self._step(self._cluster_state, x, cfg)
             u, V_new = u.u, V_new.centers
-            if not (np.minimum.reduce(u) >= 0.0 and np.maximum.reduce(u) <= 1.0  # nan fails
+            if not (all([0.0 <= v <= 1.0 for v in u.tolist()])  # nan fails
                     and all_finite(V_new)):
                 raise ValueError("memberships are not in [0, 1] or centers are not finite")
         except ValueError as exc:
@@ -113,10 +99,32 @@ class StreamEngine:
         # Stored only now: a push that raises, here or in warm-up, changes nothing.
         self._cluster_state, self._indices = cluster_state, indices
         for kind, detail in (*step_events, *index_events):
-            self.events.append(EventRecord(n=n, kind=kind, detail=detail))
-        record = TraceRecord(n=n, k=V_new.shape[0], values=values)
+            self.events.append(EventRecord(n, kind, detail))
+        record = TraceRecord(n, V_new.shape[0], values)
         self.trace.append(record)
         return record
+
+    def _warm_up(self, x: np.ndarray, cfg: RunConfig) -> None:
+        """Buffer one warm-up point; the last one starts the clusterer and the
+        index state."""
+        n = len(self._buffer) + 1
+        if self._buffer and x.shape != self._buffer[0].shape:
+            raise ValueError(f"point n={n} has dimension {x.size}, but the "
+                             f"first point has dimension {self._buffer[0].size}")
+        warmup_count, init, centers, step = _CLUSTERERS[cfg.algorithm]
+        buffer = self._buffer + [x]
+        if len(buffer) < warmup_count(cfg, x.shape[0]):
+            self._buffer = buffer
+            return
+        try:
+            cluster_state = init(buffer, cfg)
+        except ValueError as exc:
+            raise ClustererError(cfg.algorithm, n, exc) from exc
+        self._indices = IndexSet.start(cfg.indices, centers(cluster_state),
+                                       lam=cfg.lam, n0=n)
+        # The lambda, not the function it calls: it looks the function up in
+        # this module's globals at call time.
+        self._cluster_state, self._step, self._buffer = cluster_state, step, []
 
     def state_float_count(self) -> int:
         """Number of scalar slots held by clustering + index state (not output)."""

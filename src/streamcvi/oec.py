@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -165,8 +166,7 @@ def _regularize(cov: np.ndarray) -> tuple[np.ndarray, bool]:
     return np.linalg.inv(L), regularized
 
 
-@dataclass(frozen=True)
-class _ForgetfulStats:
+class _ForgetfulStats(NamedTuple):
     """Exponentially decayed mean/scatter tracking the most recent stream."""
 
     m: np.ndarray
@@ -178,11 +178,10 @@ class _ForgetfulStats:
         d = x - self.m
         m_new = self.m + d / W_new
         S_new = lam * self.S + (lam * self.W / W_new) * (d[:, None] * d)
-        return _ForgetfulStats(m=m_new, S=S_new, W=W_new)
+        return _ForgetfulStats(m_new, S_new, W_new)
 
 
-@dataclass(frozen=True)
-class OecState:
+class OecState(NamedTuple):
     """Every cluster is one row of the arrays below.
 
     Treated as an immutable value: a step copies the arrays it writes, so
@@ -296,10 +295,7 @@ def oec_step(state: OecState, x_new, config: OecConfig):
                 events.append(("covariance_regularized", f"cluster {len(m) - 1}"))
             events.append(("cluster_created", f"k={len(m)}"))
             streak = 0
-            forget = _ForgetfulStats(m=x.copy(), S=np.zeros((state.p, state.p)), W=1.0)
+            forget = _ForgetfulStats(x.copy(), np.zeros((state.p, state.p)), 1.0)
 
-    new_state = OecState(
-        m=m, R=R, count=count, W=W,
-        forget=forget, outside_streak=streak, chi2_out=state.chi2_out,
-    )
+    new_state = OecState(m, R, count, W, forget, streak, state.chi2_out)
     return new_state, MembershipVector(u), state.centers(), new_state.centers(), events

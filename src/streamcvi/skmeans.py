@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import MembershipVector, PrototypeSet
 
 
-@dataclass(frozen=True)
-class SkMeansState:
+class SkMeansState(NamedTuple):
     V: np.ndarray        # (k, p) prototypes
     counts: np.ndarray   # (k,) points absorbed per cluster, init included
 
@@ -33,7 +32,7 @@ def skmeans_init(first_k_points) -> SkMeansState:
     V = np.array(first_k_points, dtype=float)  # mixed dimensions raise here
     if V.ndim != 2 or V.shape[0] == 0:
         raise ValueError(f"initialization needs k >= 1 points of dimension p, got shape {V.shape}")
-    return SkMeansState(V=V, counts=np.ones(V.shape[0], dtype=np.int64))
+    return SkMeansState(V, np.ones(V.shape[0], dtype=np.int64))
 
 
 def skmeans_step(state: SkMeansState, x_new):
@@ -47,18 +46,18 @@ def skmeans_step(state: SkMeansState, x_new):
     if x.shape != (state.p,):
         raise ValueError(f"expected a ({state.p},) vector, got shape {x.shape}")
     d = state.V - x
-    d2 = np.vecdot(d, d)
-    # The largest distance is finite only if all k are (max propagates nan),
-    # so this also rejects a non-finite x. An overflowed distance would
-    # otherwise tie at inf and send the point to cluster 0.
-    if not math.isfinite(float(np.maximum.reduce(d2))):
+    d2 = np.vecdot(d, d).tolist()
+    # Every distance must be finite: a non-finite x gives nan, and an
+    # overflowed distance would otherwise tie at inf and send the point to
+    # cluster 0.
+    if not all(map(math.isfinite, d2)):
         raise ValueError("squared distances to the prototypes are not finite")
-    m = int(d2.argmin())  # argmin takes the first minimum: lowest index wins
+    m = d2.index(min(d2))  # the first minimum: lowest index wins
     counts = state.counts.copy()
     counts[m] += 1
     V = state.V.copy()
-    V[m] = V[m] + (x - V[m]) / counts[m]
+    row = V[m]  # a view: the winner's row is updated in place on the copy
+    row += (x - row) / counts[m]
     u = np.zeros(state.k)
     u[m] = 1.0
-    new_state = SkMeansState(V=V, counts=counts)
-    return new_state, MembershipVector(u), PrototypeSet(state.V), PrototypeSet(V)
+    return SkMeansState(V, counts), MembershipVector(u), PrototypeSet(state.V), PrototypeSet(V)

@@ -1,5 +1,10 @@
 """Stream ingestion and trace/event emission.
 
+``read_stream`` parses a stream CSV into one read-only (n, p) array, checked
+finite once, and returns its rows as ``StreamPoint`` views. Any malformed
+row, non-finite feature cell or field too large for the CSV reader raises an
+``IngestionError`` naming the row.
+
 Traces are RFC-4180-style CSV (UTF-8, LF) with the fixed header
 ``n,k,xb,xb_lambda,db,db_lambda`` and no other column. Undefined or disabled
 index values serialize as empty cells. Floats use Python's shortest
@@ -11,24 +16,25 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
-from .core import StreamPoint, is_integer
+import numpy as np
+
+from .core import StreamPoint, all_finite, is_integer
 from .cvi import INDEX_FAMILIES
 
 TRACE_COLUMNS = ("n", "k") + INDEX_FAMILIES
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     n: int
     k: int
-    values: dict = field(default_factory=dict)  # family -> float or None
+    values: dict  # family -> float or None
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     n: int
     kind: str
     detail: str = ""
@@ -66,27 +72,31 @@ class StreamSchema:
 def read_stream(path, schema: StreamSchema = StreamSchema()):
     """Read points (and labels, if the schema names a label column).
 
-    Returns (points, labels); labels is None without a label column.
+    Returns (points, labels): the points are ``StreamPoint`` rows of one
+    read-only (n, p) array, and labels is None without a label column.
     """
     path = Path(path)
     if not path.exists():
         raise IngestionError(f"stream file not found: {path}")
-    points: list[StreamPoint] = []
+    columns = schema.feature_columns
+    flat: list[float] = []  # every feature cell, row after row
+    blank_rows: list[int] = []
     labels: list[int] | None = [] if schema.label_column is not None else None
     needed = max(
-        max(schema.feature_columns),
+        max(columns),
         -1 if schema.label_column is None else schema.label_column,
     )
+    row_no = 0
     try:
         with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            for row_no, row in enumerate(reader, start=1):
+            for row_no, row in enumerate(csv.reader(fh), start=1):
                 if not row:
+                    blank_rows.append(row_no)
                     continue
                 if len(row) <= needed:
                     raise IngestionError(f"row {row_no}: expected at least {needed + 1} columns")
-                try:  # float() rejects a non-numeric cell, StreamPoint a non-finite one
-                    points.append(StreamPoint([float(row[c]) for c in schema.feature_columns]))
+                try:
+                    flat.extend([float(row[c]) for c in columns])
                 except ValueError as exc:
                     raise IngestionError(f"row {row_no}: bad feature value ({exc})") from None
                 if labels is not None:
@@ -101,25 +111,33 @@ def read_stream(path, schema: StreamSchema = StreamSchema()):
                     labels.append(int(label))
     except UnicodeDecodeError:
         raise IngestionError(f"stream file {path} is not UTF-8 text") from None
-    return points, labels
+    except csv.Error as exc:  # the reader fails on the row after the last it gave
+        raise IngestionError(f"row {row_no + 1}: {exc}") from None
+    X = np.array(flat, dtype=float).reshape(-1, len(columns))
+    del flat
+    if not all_finite(X):
+        bad = int(np.logical_and.reduce(np.isfinite(X), axis=1).argmin())
+        row_no = bad + 1
+        for blank in blank_rows:  # in file order: each one at or before shifts the row
+            if blank <= row_no:
+                row_no += 1
+        raise IngestionError(f"row {row_no}: non-finite feature value")
+    X.flags.writeable = False
+    return [StreamPoint(x) for x in X], labels
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float) and math.isnan(v):
-        return ""
-    return repr(float(v))
+def _cell(v) -> str:
+    """A trace cell: the shortest round-trip repr, empty for None and nan."""
+    return "" if v is None or math.isnan(v) else repr(float(v))
 
 
 def write_trace(records, path) -> None:
     """Write trace records in the order the iterable yields them."""
     with Path(path).open("w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
         for r in records:
-            writer.writerow([str(r.n), str(r.k)]
-                            + [_fmt(r.values.get(fam)) for fam in INDEX_FAMILIES])
+            get = r.values.get
+            fh.write(f"{r.n},{r.k},{','.join([_cell(get(fam)) for fam in INDEX_FAMILIES])}\n")
 
 
 def read_trace(path):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcvi.core import StreamPoint, as_vector, pairwise_sq_distances
+from streamcvi.core import as_vector, pairwise_sq_distances
 
 from helpers import validate_membership
 
@@ -91,12 +91,6 @@ class TestMinPairwiseDistance:
         assert D.shape == (k, k)
         assert np.all(np.diag(D) == 0.0)
         assert np.array_equal(D, D.T)
-
-
-class TestTypes:
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            StreamPoint(x=[1.0, np.nan])
 
 
 class TestAsVector:

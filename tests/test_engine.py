@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 from collections import Counter
@@ -8,13 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from streamcvi.core import MembershipVector, PrototypeSet, pairwise_sq_distances
+from streamcvi.core import MembershipVector, PrototypeSet, StreamPoint, pairwise_sq_distances
 from streamcvi.cvi import INDEX_FAMILIES, IndexSet
 from streamcvi.datagen import gen_s1, gen_s2, gen_s3
 from streamcvi.dispersion import dispersion_about
 from streamcvi.engine import ClustererError, RunConfig, StreamEngine, run
 from streamcvi.oec import oec_init, oec_step
 from streamcvi.skmeans import skmeans_init, skmeans_step
+from streamcvi.stream_io import EventRecord
 from streamcvi.verify import batch_accumulators, index_value
 
 
@@ -310,8 +310,8 @@ class TestTraceSemantics:
         assert state.lam == (1.0, 0.9)
         mu = np.zeros((2, 2, 2))
         mu[1, 0] = [100.0, 0.0]
-        engine._indices = dataclasses.replace(state, D=np.zeros((2, 2)), mu=mu,
-                                              M=np.array([[0.0, 0.0], [2.0, 0.0]]))
+        engine._indices = state._replace(D=np.zeros((2, 2)), mu=mu,
+                                         M=np.array([[0.0, 0.0], [2.0, 0.0]]))
         for x in ([1.0, 0.0], [10.0, 0.0]):
             record = engine.push(x)
             assert all(v is not None and v >= 0.0 for v in record.values.values())
@@ -476,8 +476,8 @@ def snapshot(value):
     """Deep copy of every array reachable from a clusterer step's outputs."""
     if isinstance(value, np.ndarray):
         return value.copy()
-    if dataclasses.is_dataclass(value):
-        return {f.name: snapshot(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if hasattr(value, "_asdict"):  # a NamedTuple record
+        return {name: snapshot(v) for name, v in value._asdict().items()}
     if isinstance(value, (tuple, list)):
         return [snapshot(v) for v in value]
     return value
@@ -562,13 +562,31 @@ class TestImmutableStates:
         # the hand-built lam row of test_far_mean_reads_out_nonnegative_dispersion,
         # through a step that also appends a newborn cluster
         state = IndexSet.start(("xb", "xb_lambda"), np.zeros((1, 2)), lam=0.9)
-        state = dataclasses.replace(state, mu=np.array([[[0.0, 0.0]], [[100.0, 0.0]]]),
-                                    M=np.array([[0.0], [2.0]]))
+        state = state._replace(mu=np.array([[[0.0, 0.0]], [[100.0, 0.0]]]),
+                               M=np.array([[0.0], [2.0]]))
         frozen = snapshot(state)
         _, values, events = state.step(np.array([[0.5, 0.0], [5.0, 0.0]]), np.ones(1),
                                        np.array([1.0, 0.0]))
         assert events == [] and all(v >= 0.0 for v in values.values())
         assert_same(frozen, snapshot(state))
+
+
+class TestRecords:
+    def test_no_field_can_be_assigned(self):
+        # every per-point record is an immutable NamedTuple
+        X = gen_s3(0).X()[:40]
+        sk_state, u, V_old, _ = skmeans_step(skmeans_init(list(X[:2])), X[2])
+        engine = StreamEngine(RunConfig(algorithm="oec"))
+        for x in X:
+            engine.push(x)
+        oec_state = engine._cluster_state
+        records = [sk_state, u, V_old, oec_state, oec_state.forget, engine._indices,
+                   StreamPoint(X[0]), engine.trace[-1], EventRecord(1, "cluster_created")]
+        for record in records:
+            assert isinstance(record, tuple) and record._fields
+            for name in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, getattr(record, name))
 
 
 class TestMemoryFootprint:

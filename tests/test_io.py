@@ -1,7 +1,11 @@
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from streamcvi.stream_io import (
     EventRecord,
@@ -59,6 +63,84 @@ class TestReadStream:
         f.write_bytes(b"1.0,2.0\n\xff\xfe,3.0\n")
         with pytest.raises(IngestionError, match=r"latin\.csv is not UTF-8"):
             read_stream(f)
+
+    def test_oversized_field_names_row(self, tmp_path):
+        # the csv module refuses a field over its 131072-character limit
+        f = tmp_path / "s.csv"
+        f.write_text('1.0,2.0\n"' + "1" * 140_000 + '",2\n')
+        with pytest.raises(IngestionError, match="row 2"):
+            read_stream(f)
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_feature_names_row(self, tmp_path, cell):
+        f = tmp_path / "s.csv"
+        f.write_text(f"1.0,2.0\n1.0,{cell}\n")
+        with pytest.raises(IngestionError, match="row 2"):
+            read_stream(f)
+
+    def test_non_finite_feature_row_counts_blank_rows(self, tmp_path):
+        f = tmp_path / "s.csv"
+        f.write_text("\n1.0,2.0\n\n\n1.0,nan\n\n3.0,4.0\n")
+        with pytest.raises(IngestionError, match="row 5:"):
+            read_stream(f)
+
+    def test_points_are_read_only_rows(self, tmp_path):
+        f = tmp_path / "s.csv"
+        f.write_text("1.0,2.0\n\n3.0,4.0\n")
+        points, _ = read_stream(f)
+        assert [pt.x.tolist() for pt in points] == [[1.0, 2.0], [3.0, 4.0]]
+        with pytest.raises(ValueError, match="read-only"):
+            points[0].x[0] = 5.0
+
+
+def reference_points(data: bytes, columns) -> np.ndarray | None:
+    """float() of each feature cell, row by row, with blank rows skipped, as
+    an (n, p) array; None where read_stream must raise IngestionError."""
+    try:
+        rows = [row for row in csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+                if row]
+        X = np.array([[float(row[c]) for c in columns] for row in rows],
+                     dtype=float).reshape(-1, len(columns))
+    except (UnicodeDecodeError, csv.Error, IndexError, ValueError):
+        return None
+    return X if np.isfinite(X).all() else None
+
+
+# Arbitrary bytes, pieces of CSV text, and rows of float cells: the last two
+# make the drawn files often hold parseable rows.
+CSV_PIECES = st.sampled_from([
+    b"0", b"1", b"-2.5", b"1e3", b"1e400", b".", b"e", b"-", b"_", b" ", b"inf", b"nan",
+    b",", b"\n", b"\r", b"\r\n", b'"', b"\x00", b"\xff", b"\xc3\xa9",
+])
+CELL = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                 st.sampled_from(["", " 7", "-0", "1_0", '"3"', "nan", "1e400"]))
+STREAM_BYTES = st.one_of(
+    st.binary(max_size=2048),
+    st.lists(CSV_PIECES, max_size=400).map(b"".join),
+    st.tuples(st.lists(st.lists(CELL, max_size=4).map(",".join), max_size=30),
+              st.sampled_from(["\n", "\r\n", "\r"]))
+    .map(lambda rows_end: rows_end[1].join(rows_end[0]).encode()),
+)
+
+
+class TestReadStreamProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(data=STREAM_BYTES,
+           columns=st.sampled_from([(0,), (0, 1), (1, 0), (2, 0)]))
+    @example(data=b"1,2\n\n3,4\r\n", columns=(0, 1))
+    @example(data=b'"1\n2",3\n', columns=(0, 1))
+    def test_points_or_ingestion_error(self, tmp_path_factory, data, columns):
+        f = tmp_path_factory.mktemp("stream") / "s.csv"
+        f.write_bytes(data)
+        expected = reference_points(data, columns)
+        if expected is None:
+            with pytest.raises(IngestionError, match=r"^(row \d+|stream file )"):
+                read_stream(f, StreamSchema(feature_columns=columns))
+            return
+        points, labels = read_stream(f, StreamSchema(feature_columns=columns))
+        got = np.array([pt.x for pt in points], dtype=float).reshape(-1, len(columns))
+        assert labels is None
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestStreamSchema:

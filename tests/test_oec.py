@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import subprocess
 import sys
@@ -356,8 +355,7 @@ class TestWhiteningUpdate:
             k, p = 2, int(rng.integers(1, 5))
             A = rng.normal(size=(k, p, p))
             cov = A @ A.transpose(0, 2, 1) + 0.1 * np.eye(p)
-            state = dataclasses.replace(
-                make_state(rng.normal(size=(k, p)), np.linalg.inv(cov), count=5),
+            state = make_state(rng.normal(size=(k, p)), np.linalg.inv(cov), count=5)._replace(
                 W=rng.uniform(p + 1.0, 500.0, size=k),
             )
             x = state.m[0] + rng.normal(size=p) * 3.0
