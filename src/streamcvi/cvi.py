@@ -31,14 +31,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import pairwise_sq_distances
-from .dispersion import dispersion_about, per_row, update_dispersion
+from .dispersion import MASS_FLOOR, dispersion_about, per_row, update_dispersion
 
 INDEX_FAMILIES = ("xb", "xb_lambda", "db", "db_lambda")
-
-# Without forgetting, DB reads L = C / M, and L = 0 for a cluster with no
-# membership mass yet (M = 0, hence C = 0). Flooring M at the smallest
-# positive float gives both: C / M for every M > 0, and 0 / floor = 0.
-_EMPTY_CLUSTER_FLOOR = float(np.finfo(float).smallest_subnormal)
 
 
 @lru_cache(maxsize=128)
@@ -111,7 +106,7 @@ class IndexSet(NamedTuple):
             xb_scale=tuple(1.0 - f if f < 1.0 else 1.0 for f in lams),
             xb_per_point=tuple(f == 1.0 for f in lams),
             xb=any(fam.startswith("xb") for fam in families),
-            db_floor=per_row([1.0 if f < 1.0 else _EMPTY_CLUSTER_FLOOR for f in lams])
+            db_floor=per_row([1.0 if f < 1.0 else MASS_FLOOR for f in lams])
             if any(fam.startswith("db") for fam in families) else None,
         )
         mu = np.array([V0] * len(lams), dtype=float)

@@ -53,10 +53,6 @@ class LabeledStream:
     def n(self) -> int:
         return self.samples.shape[0]
 
-    @property
-    def p(self) -> int:
-        return self.samples.shape[1]
-
     def X(self) -> np.ndarray:
         """The (n, p) samples, one row per point in stream order."""
         return self.samples

@@ -39,9 +39,10 @@ def per_row(values):
     return a
 
 
-# M' = 0 only when w = 0 as well, so flooring the divisor at the smallest
-# positive float gives r = w / M' for every M' > 0, and r = 0 / floor = 0.
-_SMALLEST = per_row([np.finfo(float).smallest_subnormal])
+# The smallest positive float, as a floor on a mass M that divides a quantity
+# which is 0 wherever M is (w where M' = 0, and C where a cluster's M = 0):
+# a / max(M, floor) is a / M for every M > 0, and 0 / floor = 0.
+MASS_FLOOR = per_row([np.finfo(float).smallest_subnormal])
 
 
 _lam_factor = lru_cache(maxsize=16)(per_row)
@@ -62,7 +63,7 @@ def update_dispersion(D, mu, M, lam: tuple[float, ...], u, x):
     w = u * u
     lam_M = lam * M
     M = lam_M + w
-    r = w / np.maximum(M, _SMALLEST)
+    r = w / np.maximum(M, MASS_FLOOR)
     d = x - mu
     return lam * D + lam_M * r * np.vecdot(d, d), mu + r[:, :, None] * d, M
 

@@ -1,8 +1,9 @@
 """Stream ingestion and trace/event emission.
 
-``read_stream`` parses a stream CSV into one read-only (n, p) array, checked
-finite once, and returns its rows as ``StreamPoint`` views. Any malformed
-row, non-finite feature cell or field too large for the CSV reader raises an
+``read_stream`` parses the feature columns a ``StreamSchema`` names into one
+read-only (n, p) array, checked finite once, and returns its rows as
+``StreamPoint`` views; every other column is ignored. Any malformed row,
+non-finite feature cell or field too large for the CSV reader raises an
 ``IngestionError`` naming the row.
 
 Traces are RFC-4180-style CSV (UTF-8, LF) with the fixed header
@@ -46,34 +47,31 @@ class IngestionError(ValueError):
 
 @dataclass(frozen=True)
 class StreamSchema:
-    """Column layout of a stream CSV: feature columns and an optional label."""
+    """Column layout of a stream CSV: the feature columns, in order."""
 
     feature_columns: tuple[int, ...] = (0, 1)
-    label_column: int | None = None
 
     def __post_init__(self):
         """Rejects a layout that would read a column other than the one named,
-        or one column for two roles: no feature columns, a column index that
-        is negative (it counts from the row's end) or not an integer, a
-        repeated feature column, or a label column among the features."""
+        or one column twice: no feature columns, a column index that is
+        negative (it counts from the row's end) or not an integer, or a
+        repeated column."""
         features = tuple(self.feature_columns)
         if not features:
             raise ValueError("a stream schema needs at least one feature column")
-        label = () if self.label_column is None else (self.label_column,)
-        for c in features + label:
+        for c in features:
             if not is_integer(c) or c < 0:
                 raise ValueError(f"column indices must be nonnegative integers, got {c!r}")
         if len(set(features)) != len(features):
             raise ValueError(f"feature columns repeat: {features}")
-        if self.label_column in features:
-            raise ValueError(f"label column {self.label_column} is also a feature column")
 
 
 def read_stream(path, schema: StreamSchema = StreamSchema()):
-    """Read points (and labels, if the schema names a label column).
+    """Read the schema's feature columns; every other column is ignored.
 
-    Returns (points, labels): the points are ``StreamPoint`` rows of one
-    read-only (n, p) array, and labels is None without a label column.
+    Returns (points, None): the points are ``StreamPoint`` rows of one
+    read-only (n, p) array. The pair keeps callers' ``points, _ =`` working
+    until it returns the bare array.
     """
     path = Path(path)
     if not path.exists():
@@ -81,11 +79,7 @@ def read_stream(path, schema: StreamSchema = StreamSchema()):
     columns = schema.feature_columns
     flat: list[float] = []  # every feature cell, row after row
     blank_rows: list[int] = []
-    labels: list[int] | None = [] if schema.label_column is not None else None
-    needed = max(
-        max(columns),
-        -1 if schema.label_column is None else schema.label_column,
-    )
+    needed = max(columns)
     row_no = 0
     try:
         with path.open(newline="", encoding="utf-8") as fh:
@@ -99,16 +93,6 @@ def read_stream(path, schema: StreamSchema = StreamSchema()):
                     flat.extend([float(row[c]) for c in columns])
                 except ValueError as exc:
                     raise IngestionError(f"row {row_no}: bad feature value ({exc})") from None
-                if labels is not None:
-                    cell = row[schema.label_column]
-                    try:
-                        label = float(cell)
-                    except ValueError:
-                        raise IngestionError(f"row {row_no}: non-numeric label cell") from None
-                    if not label.is_integer():  # also False for inf and nan
-                        raise IngestionError(
-                            f"row {row_no}: label {cell!r} is not a finite integer")
-                    labels.append(int(label))
     except UnicodeDecodeError:
         raise IngestionError(f"stream file {path} is not UTF-8 text") from None
     except csv.Error as exc:  # the reader fails on the row after the last it gave
@@ -123,7 +107,7 @@ def read_stream(path, schema: StreamSchema = StreamSchema()):
                 row_no += 1
         raise IngestionError(f"row {row_no}: non-finite feature value")
     X.flags.writeable = False
-    return [StreamPoint(x) for x in X], labels
+    return [StreamPoint(x) for x in X], None
 
 
 def _cell(v) -> str:
@@ -140,35 +124,8 @@ def write_trace(records, path) -> None:
             fh.write(f"{r.n},{r.k},{','.join([_cell(get(fam)) for fam in INDEX_FAMILIES])}\n")
 
 
-def read_trace(path):
-    """Parse a trace CSV back into TraceRecords (round-trip of write_trace)."""
-    records = []
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header
-        for row in reader:
-            values = {
-                fam: (float(cell) if cell else None)
-                for fam, cell in zip(INDEX_FAMILIES, row[2:6])
-            }
-            records.append(TraceRecord(n=int(row[0]), k=int(row[1]), values=values))
-    return records
-
-
 def write_events(records, path) -> None:
     with Path(path).open("w", newline="\n", encoding="utf-8") as fh:
         for r in records:
             detail = r.detail.replace("\t", " ").replace("\n", " ")
             fh.write(f"{r.n}\t{r.kind}\t{detail}\n")
-
-
-def read_events(path):
-    records = []
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            n, kind, detail = line.split("\t", 2)
-            records.append(EventRecord(n=int(n), kind=kind, detail=detail))
-    return records

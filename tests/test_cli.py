@@ -3,8 +3,9 @@ import pytest
 
 from streamcvi.cli import main
 from streamcvi.datagen import gen_s3
-from streamcvi.stream_io import read_events, read_trace
 from streamcvi.verify import run_verification
+
+from helpers import read_events, read_trace
 
 
 SCENARIO_INI = """\

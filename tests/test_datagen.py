@@ -127,6 +127,5 @@ class TestS3:
 class TestLabeledStream:
     def test_dimension_is_two(self):
         for s in (gen_s1(), gen_s2(0), gen_s3(0)):
-            assert s.p == 2
             assert len(s.labels) == s.n
             assert s.X().shape == (s.n, 2)

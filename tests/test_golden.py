@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from streamcvi.cli import DEFAULT_SCENARIO_FILE, main
-from streamcvi.stream_io import read_trace
+from helpers import read_trace
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "results" / "traces"
 REL_TOL = 1e-12

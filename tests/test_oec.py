@@ -9,6 +9,7 @@ from scipy import integrate, special, stats
 
 import streamcvi
 
+from streamcvi.engine import RunConfig, run
 from streamcvi.oec import (
     OecConfig,
     OecState,
@@ -315,6 +316,38 @@ class TestOecStep:
         for x in X[1:]:
             stats = stats.updated(x, lam)
         assert np.allclose(stats.m, X.mean(axis=0), atol=1e-6)
+
+
+def gate_stream(flat=False):
+    """p = 2: 20 points from N(0, I), 3 for warm-up and 17 won by cluster 0,
+    then 60 from N((40, 40), I). With ``flat`` every y is 0."""
+    rng = np.random.default_rng(0)
+    X = np.concatenate([rng.normal(size=(20, 2)), rng.normal(size=(60, 2)) + 40.0])
+    if flat:
+        X[:, 1] = 0.0
+    return X
+
+
+def step_events(X):
+    """(n, kind, detail) of every event of an OEC run but index_undefined."""
+    _, events = run(X, RunConfig(algorithm="oec"))
+    return [(e.n, e.kind, e.detail) for e in events if e.kind != "index_undefined"]
+
+
+class TestBirthGate:
+    def test_gate_opens_when_the_least_count_equals_n_s(self):
+        # Cluster 0 holds exactly n_s = 20 points at n = 20 and, stabilized,
+        # is shielded from every far point, so its count stays 20. The gate
+        # (every count >= n_s) is open from n = 21, and the forgetful mean
+        # is outside for the n_s steps n = 21..40.
+        assert step_events(gate_stream()) == [(40, "cluster_created", "k=2")]
+
+    def test_regularized_birth_names_the_new_row(self):
+        # every y is 0, so each covariance estimate is rank-1
+        assert step_events(gate_stream(flat=True)) == [
+            (40, "covariance_regularized", "cluster 1"),  # row k - 1
+            (40, "cluster_created", "k=2"),
+        ]
 
 
 def rel_err(A, B):
