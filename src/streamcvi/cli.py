@@ -14,7 +14,6 @@ from pathlib import Path
 
 from . import datagen
 from .engine import RunConfig, run
-from .oec import OecConfig
 from .stream_io import (
     EventRecord,
     StreamSchema,
@@ -25,17 +24,13 @@ from .stream_io import (
 
 DEFAULT_SCENARIO_FILE = Path(__file__).resolve().parents[2] / "scenarios.ini"
 
-# Scenario key -> (config class, field, parser). A key a section leaves out
-# takes the field's default, so RunConfig and OecConfig own every default.
+# Scenario key -> (RunConfig field, parser). A key a section leaves out
+# takes the field's default, so RunConfig owns every default.
 CONFIG_KEYS = {
-    "algorithm": (RunConfig, "algorithm", str),
-    "k": (RunConfig, "k", int),
-    "indices": (RunConfig, "indices",
-                lambda s: tuple(f.strip() for f in s.split(",") if f.strip())),
-    "lambda": (RunConfig, "lam", float),
-    "gamma_out": (OecConfig, "gamma_out", float),
-    "n_s": (OecConfig, "n_s", int),
-    "lambda_oec": (OecConfig, "lambda_oec", float),
+    "algorithm": ("algorithm", str),
+    "k": ("k", int),
+    "indices": ("indices", lambda s: tuple(f.strip() for f in s.split(",") if f.strip())),
+    "lambda": ("lam", float),
 }
 # The other keys pick the stream: a generated dataset (and its seed) or a CSV.
 SCENARIO_KEYS = ("dataset", "input", "features", "seed") + tuple(CONFIG_KEYS)
@@ -77,10 +72,15 @@ def cmd_generate(args) -> int:
 
 
 def _load_scenario(path: Path, name: str) -> configparser.SectionProxy:
-    parser = configparser.ConfigParser()
-    if not path.exists():
-        raise SystemExit(f"scenario file not found: {path}")
-    parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)  # values are literal
+    try:
+        with path.open(encoding="utf-8") as fh:
+            parser.read_file(fh)
+    except OSError as exc:
+        raise SystemExit(f"cannot read scenario file {path}: {exc.strerror or exc}") from None
+    except (UnicodeDecodeError, configparser.Error) as exc:
+        reason = " ".join(str(exc).split())  # some configparser messages span lines
+        raise SystemExit(f"malformed scenario file {path}: {reason}") from None
     if name not in parser:
         known = ", ".join(parser.sections())
         raise SystemExit(f"unknown scenario {name!r} in {path} (known: {known})")
@@ -94,14 +94,14 @@ def _load_scenario(path: Path, name: str) -> configparser.SectionProxy:
 
 
 def _scenario_config(sec) -> RunConfig:
-    fields = {RunConfig: {}, OecConfig: {}}
-    for key, (cls, name, parse) in CONFIG_KEYS.items():
+    fields = {}
+    for key, (name, parse) in CONFIG_KEYS.items():
         if key in sec:
             try:
-                fields[cls][name] = parse(sec[key])
+                fields[name] = parse(sec[key])
             except ValueError as exc:
                 raise ValueError(f"{key}: {exc}") from None
-    return RunConfig(oec=OecConfig(**fields[OecConfig]), **fields[RunConfig])
+    return RunConfig(**fields)
 
 
 def _load_points(sec):

@@ -43,12 +43,6 @@ class LabeledStream:
     labels: tuple[int, ...]
     change_events: tuple[int, ...]  # 1-based index of the first shifted sample
 
-    def __post_init__(self):
-        if len(self.samples) != len(self.labels):
-            raise ValueError("labels must align with samples")
-        if list(self.change_events) != sorted(set(self.change_events)):
-            raise ValueError("change events must be strictly increasing")
-
     @property
     def n(self) -> int:
         return self.samples.shape[0]

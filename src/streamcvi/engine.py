@@ -10,7 +10,7 @@ point's n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,8 @@ from .cvi import INDEX_FAMILIES, IndexSet, check_families
 from .oec import OecConfig, oec_init, oec_step
 from .skmeans import skmeans_init, skmeans_step
 from .stream_io import EventRecord, TraceRecord
+
+_OEC = OecConfig()
 
 # algorithm -> (warm-up count(cfg, p), init(points, cfg), centers(state),
 # step(state, x, cfg)); every step returns (state, u, V_old, V_new, events).
@@ -30,9 +32,9 @@ _CLUSTERERS = {
                 lambda state: state.V,
                 lambda state, x, cfg: (*skmeans_step(state, x), ())),
     "oec": (lambda cfg, p: p + 1,
-            lambda points, cfg: oec_init(points, cfg.oec),
+            lambda points, cfg: oec_init(points, _OEC),
             lambda state: state.m,
-            lambda state, x, cfg: oec_step(state, x, cfg.oec)),
+            lambda state, x, cfg: oec_step(state, x, _OEC)),
 }
 
 
@@ -40,7 +42,6 @@ _CLUSTERERS = {
 class RunConfig:
     algorithm: str = "skmeans"               # a key of _CLUSTERERS
     k: int = 2                               # sk-means only
-    oec: OecConfig = field(default_factory=OecConfig)
     indices: tuple[str, ...] = INDEX_FAMILIES
     lam: float = 0.9                         # forgetting factor of *_lambda indices
 

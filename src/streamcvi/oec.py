@@ -19,42 +19,37 @@ load numpy and the standard library alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import MembershipVector, PrototypeSet, all_finite, is_integer
 
-@dataclass(frozen=True)
+
 class OecConfig:
-    gamma_out: float = 0.999
-    n_s: int = 20
-    lambda_oec: float = 0.9
+    """The paper's OEC constants: the outlier boundary's chi-squared level
+    gamma_out, the stabilization period n_s and the forgetful prototype's
+    decay lambda_oec. oec_init and oec_step take an instance only because
+    perfbench's oracle calls them that way."""
 
-    def __post_init__(self):
-        if not (0.0 < self.gamma_out < 1.0):
-            raise ValueError("need 0 < gamma_out < 1")
-        if not (0.0 < self.lambda_oec < 1.0):
-            raise ValueError("lambda_oec must be in (0, 1)")
-        if not is_integer(self.n_s) or self.n_s < 1:
-            raise ValueError(f"stabilization period must be a positive integer, got {self.n_s!r}")
+    gamma_out = 0.999
+    n_s = 20
+    lambda_oec = 0.9
 
 
-def _log_gamma_tails(a: float, x: float) -> tuple[float, float, float]:
-    """log P(a, x) and log Q(a, x), the regularized incomplete gamma
-    functions, and the log of the prefactor x^a e^-x / Gamma(a) they share."""
+def _log_gamma_tails(a: float, x: float) -> tuple[float, float]:
+    """log Q(a, x), the upper regularized incomplete gamma function, and the
+    log of its prefactor x^a e^-x / Gamma(a)."""
     log_pre = a * math.log(x) - x - math.lgamma(a)
     if x < a + 1.0:
-        # P = prefactor * sum_n x^n / (a (a+1) ... (a+n))
+        # P = 1 - Q = prefactor * sum_n x^n / (a (a+1) ... (a+n))
         term = total = 1.0 / a
         n = a
         while term > 1e-17 * total:
             n += 1.0
             term *= x / n
             total += term
-        log_p = log_pre + math.log(total)
-        return log_p, math.log1p(-math.exp(log_p)), log_pre
+        return math.log1p(-math.exp(log_pre + math.log(total))), log_pre
     # Q = prefactor / (x+1-a - 1(1-a) / (x+3-a - 2(2-a) / ...)), by modified Lentz
     b = x + 1.0 - a
     c, d = math.inf, 1.0 / b
@@ -69,41 +64,28 @@ def _log_gamma_tails(a: float, x: float) -> tuple[float, float, float]:
             break
     else:
         raise ValueError(f"incomplete gamma continued fraction did not converge at a={a}, x={x}")
-    log_q = log_pre + math.log(cf)
-    return math.log1p(-math.exp(log_q)), log_q, log_pre
+    return log_pre + math.log(cf), log_pre
 
 
 def chi2_inverse(p_dof: int, gamma: float) -> float:
-    """Quantile of the chi-squared distribution with p_dof degrees of freedom.
+    """Upper-half quantile, gamma in (0.5, 1), of the chi-squared distribution
+    with p_dof degrees of freedom.
 
-    With a = p_dof/2, solves P(a, x) = gamma, or Q(a, x) = 1 - gamma (exact)
-    when gamma > 0.5, by Newton steps on log x, and returns 2x. log P and
-    log Q are concave in log x. So the steps on P rise monotonically from
-    x = (gamma Gamma(a+1))^(1/a), which is at or below the root since
-    P(a, x) <= x^a / Gamma(a+1). The steps on Q, from x = a + 1, cross the
-    root at most once, then fall monotonically to it. A quantile that
-    underflows, or no convergence in 100 steps, raises ValueError.
+    With a = p_dof/2, solves Q(a, x) = 1 - gamma (exact) by Newton steps on
+    log x from x = a + 1, and returns 2x. log Q is concave in log x, so the
+    steps cross the root at most once, then fall monotonically to it. No
+    convergence in 100 steps raises ValueError.
     """
     if not is_integer(p_dof) or p_dof < 1:
         raise ValueError(f"degrees of freedom must be a positive integer, got {p_dof!r}")
-    if not (0.0 < gamma < 1.0):
-        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
+    if not (0.5 < gamma < 1.0):
+        raise ValueError(f"gamma must be in (0.5, 1), got {gamma}")
     a = p_dof / 2
-    upper = gamma > 0.5
-    if upper:
-        log_target, x = math.log(1.0 - gamma), a + 1.0
-    else:
-        log_target = math.log(gamma)
-        x = math.exp((log_target + math.lgamma(a + 1.0)) / a)
-        if x == 0.0:
-            raise ValueError(f"the chi-squared({p_dof}) quantile at {gamma} underflows")
+    log_target, x = math.log(1.0 - gamma), a + 1.0
     for _ in range(100):
-        log_p, log_q, log_pre = _log_gamma_tails(a, x)
-        # d log P / d log x = prefactor / P and d log Q / d log x = -prefactor / Q
-        if upper:
-            step = (log_target - log_q) * math.exp(log_q - log_pre)
-        else:
-            step = (log_p - log_target) * math.exp(log_p - log_pre)
+        log_q, log_pre = _log_gamma_tails(a, x)
+        # d log Q / d log x = -prefactor / Q
+        step = (log_target - log_q) * math.exp(log_q - log_pre)
         x *= math.exp(-step)
         if abs(step) < 1e-10:
             return 2.0 * x

@@ -1,8 +1,14 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from streamcvi.cli import main
-from streamcvi.datagen import gen_s3
+from streamcvi.cli import SCENARIO_KEYS, main
+from streamcvi.cvi import INDEX_FAMILIES
+from streamcvi.datagen import GENERATORS, gen_s3
 from streamcvi.verify import run_verification
 
 from helpers import read_events, read_trace
@@ -23,7 +29,7 @@ lambda = 0.9
 [misspelt-key]
 dataset = s3
 algorithm = oec
-gama_out = 0.99
+lamda = 0.99
 
 [needs-input]
 input = {input_path}
@@ -129,8 +135,43 @@ class TestRun:
             main(["run", "misspelt-key", "--scenario-file", str(scenario_file),
                   "--out", str(tmp_path / "res")])
         message = str(exc.value.code)
-        assert "'gama_out'" in message and "gamma_out" in message.split("known:")[1]
+        assert "'lamda'" in message and "lambda" in message.split("known:")[1]
         assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("key", ["gamma_out", "n_s", "lambda_oec"])
+    def test_oec_constant_is_an_unknown_key(self, tmp_path, key):
+        # OEC's three parameters are the paper's constants, not scenario keys
+        f = tmp_path / "s.ini"
+        f.write_text(f"[oec]\ndataset = s2\nalgorithm = oec\n{key} = 0.5\n")
+        with pytest.raises(SystemExit, match=f"unknown key '{key}'"):
+            main(["run", "oec", "--scenario-file", str(f), "--out", str(tmp_path / "res")])
+        assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("content", [
+        b"[a]\ndataset = s2\ndataset = s3\n",     # a repeated key
+        b"[a]\ndataset = s2\n[a]\nk = 3\n",       # a repeated section
+        b"dataset = s2\n[a]\nk = 3\n",            # a line before the first section
+        b"[a]\ndataset = s\xff2\n",                # not UTF-8
+        None,                                     # a directory
+    ], ids=["repeated-key", "repeated-section", "no-section-header", "not-utf8", "directory"])
+    def test_malformed_scenario_file_names_the_file(self, tmp_path, content):
+        f = tmp_path / "s.ini"
+        if content is None:
+            f.mkdir()
+        else:
+            f.write_bytes(content)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "a", "--scenario-file", str(f), "--out", str(tmp_path / "res")])
+        message = exc.value.code
+        assert isinstance(message, str) and str(f) in message and "\n" not in message
+        assert not (tmp_path / "res").exists()
+
+    def test_percent_in_a_value_is_literal(self, tmp_path):
+        data = tmp_path / "50%.csv"
+        data.write_text("".join(f"{x!r},{y!r}\n" for x, y in gen_s3(0).X()[:30].tolist()))
+        f = tmp_path / "s.ini"
+        f.write_text(f"[a]\ninput = {data}\nindices = xb\n")
+        assert main(["run", "a", "--scenario-file", str(f), "--out", str(tmp_path / "res")]) == 0
 
     def test_missing_scenario_file_names_path(self, tmp_path):
         missing = tmp_path / "gone.ini"
@@ -203,6 +244,59 @@ class TestRun:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"scenario {name}: {key}: ")
         assert not (tmp_path / "res").exists()
+
+
+# Values that may reach the engine, valid or not. A generated dataset is a
+# 2000-point run, too slow for a property (TestRun runs them), so `dataset`
+# is only ever an unknown name.
+FUZZ_TEXT = st.text(max_size=12)
+FUZZ_VALUES = {
+    "dataset": FUZZ_TEXT.filter(lambda s: s.strip() not in GENERATORS),
+    "k": st.integers(1, 12).map(str),
+    "algorithm": st.sampled_from(["skmeans", "oec"]),
+    "indices": st.lists(st.sampled_from(INDEX_FAMILIES), min_size=1, unique=True).map(",".join),
+    "lambda": st.one_of(st.floats(0.0, 1.0), st.floats()).map(repr),
+    "features": st.sampled_from(["0,1", "1,0", "0", "2,0", "0,3"]),
+    "seed": st.integers(0, 99).map(str),
+}
+REMOVED_OEC_KEYS = ("gamma_out", "n_s", "lambda_oec")
+
+
+class TestScenarioProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_or_named_error(self, tmp_path_factory, data):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        stream = tmp / "in.csv"
+        stream.write_text("".join(f"{x!r},{y!r},0\n" for x, y in gen_s3(0).X()[:30].tolist()))
+        values = dict(FUZZ_VALUES, input=st.just(str(stream)))
+        # A junk section mixes known, removed and arbitrary keys, each with a
+        # value from above or arbitrary text; the others use known keys but
+        # `dataset`, each at most once, with a value from above.
+        junk = data.draw(st.booleans(), label="junk")
+        if junk:
+            keys = st.lists(st.one_of(st.sampled_from(SCENARIO_KEYS + REMOVED_OEC_KEYS),
+                                      FUZZ_TEXT), max_size=8)
+        else:
+            keys = st.lists(st.sampled_from([k for k in SCENARIO_KEYS if k != "dataset"]),
+                            unique=True)
+        lines = ["[fuzz]"]
+        for key in data.draw(keys, label="keys"):
+            value = values.get(key, FUZZ_TEXT)
+            if junk:
+                value = st.one_of(value, FUZZ_TEXT)
+            lines.append(f"{key} = {data.draw(value, label=key)}")
+        f = tmp / "s.ini"
+        f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err):
+                code = main(["run", "fuzz", "--scenario-file", str(f), "--out", str(tmp / "res")])
+        except SystemExit as exc:
+            # an unknown key, scenario or malformed file; 2 is argparse's usage error
+            assert exc.code == 2 or (str(f) in exc.code and "\n" not in exc.code)
+        else:
+            assert code == 0 or (code == 1 and err.getvalue().startswith("scenario fuzz: "))
 
 
 class TestVerify:

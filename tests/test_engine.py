@@ -12,7 +12,7 @@ from streamcvi.cvi import INDEX_FAMILIES, IndexSet
 from streamcvi.datagen import gen_s1, gen_s2, gen_s3
 from streamcvi.dispersion import dispersion_about
 from streamcvi.engine import ClustererError, RunConfig, StreamEngine, run
-from streamcvi.oec import oec_init, oec_step
+from streamcvi.oec import OecConfig, oec_init, oec_step
 from streamcvi.skmeans import skmeans_init, skmeans_step
 from streamcvi.stream_io import EventRecord
 from streamcvi.verify import batch_accumulators, index_value
@@ -44,14 +44,14 @@ def replay(X, config):
         V0 = state.V.copy()
     else:
         n0 = p + 1
-        state = oec_init(list(X[:n0]), config.oec)
+        state = oec_init(list(X[:n0]), OecConfig())
         V0 = state.centers().centers
     us, Vs = [], []
     for x in X[n0:]:
         if config.algorithm == "skmeans":
             state, u, _, V_new = skmeans_step(state, x)
         else:
-            state, u, _, V_new, _ = oec_step(state, x, config.oec)
+            state, u, _, V_new, _ = oec_step(state, x, OecConfig())
         us.append(u.u)
         Vs.append(V_new.centers)
     U = np.zeros((len(us), Vs[-1].shape[0]))
@@ -533,8 +533,8 @@ class TestImmutableStates:
             state = skmeans_init(list(X[:3]))
             step = skmeans_step
         else:
-            state = oec_init(list(X[:3]), RunConfig().oec)
-            step = lambda s, x: oec_step(s, x, RunConfig().oec)[:4]
+            state = oec_init(list(X[:3]), OecConfig())
+            step = lambda s, x: oec_step(s, x, OecConfig())[:4]
         prev, frozen = None, None
         for x in X[3:]:
             out = step(state, x)
