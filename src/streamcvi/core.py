@@ -1,4 +1,4 @@
-"""Shared domain types: stream points and the records a clusterer step returns.
+"""Per-point records (stream points, clusterer step results) and the boundary checks.
 
 Every per-point record in the package is an immutable ``typing.NamedTuple``:
 cheap to build, with ``._replace`` and tuple equality. None of them checks its
@@ -57,10 +57,4 @@ class PrototypeSet(NamedTuple):
     """A step's (k, p) cluster centers, as a clusterer step returns them."""
 
     centers: np.ndarray
-
-
-def pairwise_sq_distances(C: np.ndarray) -> np.ndarray:
-    """(k, k) squared Euclidean distances between the rows of a (k, p) array."""
-    diff = C[:, None, :] - C
-    return np.vecdot(diff, diff)
 

@@ -9,11 +9,30 @@ an online clusterer:
     db_lambda : same with L_i = C_lam_i / max(1, M_lam_i)
 
 Every variant is a read-out of per-cluster accumulators (D, mu, M): the
-dispersion about the current centers is C = D + M*||mu - v||^2 (see
-dispersion.py). xb and db read the lam=1 row, xb_lambda and db_lambda the lam
-row. An IndexSet holds the (D, mu, M) arrays with a row for each forgetting
-factor its families need, so at most two, advances them with
-dispersion.update_dispersion and reads every DB variant in one pass.
+lam-weighted mass M of a cluster's squared memberships, the weighted mean mu
+of its points and their weighted scatter D about mu. A sample x with
+membership u enters by a weighted Welford step, which needs no centers:
+
+    w   = u^2
+    M'  = lam*M + w
+    r   = w / M'                 (0 when M' = 0, which needs w = 0)
+    mu' = mu + r*(x - mu)
+    D'  = lam*D + lam*M*r*||x - mu||^2
+
+The dispersion about any center v is then read out exactly as
+
+    C = D + M*||mu - v||^2,
+
+a sum of two non-negative terms, so C >= 0 by construction. lam = 1 means no
+forgetting. The separation terms read the (k, k) squared gaps between the
+current centers.
+
+xb and db read the lam=1 row, xb_lambda and db_lambda the lam row. An
+IndexSet holds the (D, mu, M) arrays with a row for each forgetting factor
+its families need, so at most two: D and M are (s, k), mu is (s, k, p). One
+update_dispersion call advances all s*k rows, each contraction one call of
+the gufunc np.vecdot, and never writes into its inputs; a step then reads
+every DB variant in one pass.
 
 Both indices are min-optimal. An undefined value (coincident centers, a
 single cluster for DB, or a non-finite read-out) is None, never raised: the
@@ -30,18 +49,59 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import pairwise_sq_distances
-from .dispersion import MASS_FLOOR, dispersion_about, per_row, update_dispersion
-
 INDEX_FAMILIES = ("xb", "xb_lambda", "db", "db_lambda")
 
 
-@lru_cache(maxsize=128)
-def _inf_diagonal(k: int) -> np.ndarray:
-    """Adding it to a (k, k) distance matrix puts inf on the diagonal."""
-    D = np.diag(np.full(k, np.inf))
-    D.flags.writeable = False  # shared by every caller
-    return D
+def per_row(values):
+    """One value per accumulator row, shaped to scale (s, k) arrays: a 0-d
+    array (numpy's cheapest operand: a Python float costs a conversion on
+    every call) when there is one row, else an (s, 1) column."""
+    a = np.array(values, dtype=float)
+    a = a.reshape(()) if a.size == 1 else a.reshape(-1, 1)
+    a.flags.writeable = False  # shared by every step of a run
+    return a
+
+
+# The smallest positive float, as a floor on a mass M that divides a quantity
+# which is 0 wherever M is (w where M' = 0, and C where a cluster's M = 0):
+# a / max(M, floor) is a / M for every M > 0, and 0 / floor = 0.
+MASS_FLOOR = per_row([np.finfo(float).smallest_subnormal])
+
+
+_lam_factor = lru_cache(maxsize=16)(per_row)
+
+
+def update_dispersion(D, mu, M, lam: tuple[float, ...], u, x):
+    """Advance every cluster's (D, mu, M), under every forgetting factor in
+    ``lam``, by one sample; returns the new (D, mu, M).
+
+    ``u`` holds the (k,) memberships of ``x``. The caller validates that
+    ``u`` lies in [0, 1], and that ``x`` is a finite (p,) float vector.
+    """
+    if u.shape != mu.shape[1:2]:
+        raise ValueError(f"memberships of shape {u.shape} for accumulators of shape {mu.shape}")
+    if x.shape != mu.shape[2:]:
+        raise ValueError(f"expected dimension {mu.shape[2]}, got shape {x.shape}")
+    lam = _lam_factor(lam)
+    w = u * u
+    lam_M = lam * M
+    M = lam_M + w
+    r = w / np.maximum(M, MASS_FLOOR)
+    d = x - mu
+    return lam * D + lam_M * r * np.vecdot(d, d), mu + r[:, :, None] * d, M
+
+
+def dispersion_about(D, mu, M, V):
+    """Each row's dispersion about the (k, p) centers ``V``:
+    C = D + M*||mu - V||^2, an (s, k) array."""
+    gap = mu - V
+    return D + M * np.vecdot(gap, gap)
+
+
+def pairwise_sq_distances(C: np.ndarray) -> np.ndarray:
+    """(k, k) squared Euclidean distances between the rows of a (k, p) array."""
+    diff = C[:, None, :] - C
+    return np.vecdot(diff, diff)
 
 
 def check_families(families, lam: float) -> tuple[str, ...]:
@@ -140,7 +200,8 @@ class IndexSet(NamedTuple):
         ro = self.readout
         db = None
         if k >= 2:
-            gaps = pairwise_sq_distances(V_new) + _inf_diagonal(k)
+            gaps = pairwise_sq_distances(V_new)
+            gaps.flat[::k + 1] = np.inf
             h = float(np.minimum.reduce(gaps, axis=None))
             if h > 0.0 and ro.db_floor is not None:
                 L = C / np.maximum(ro.db_floor, M)

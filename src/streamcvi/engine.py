@@ -22,19 +22,19 @@ from .stream_io import EventRecord, TraceRecord
 
 _OEC = OecConfig()
 
-# algorithm -> (warm-up count(cfg, p), init(points, cfg), centers(state),
-# step(state, x, cfg)); every step returns (state, u, V_old, V_new, events).
+# algorithm -> (warm-up count(cfg, p), init(points), centers(state),
+# step(state, x)); every step returns (state, u, V_old, V_new, events).
 # The lambdas look the clusterer functions up in this module's globals at call
 # time, so a name patched here (by a test or a tracer) is the one that runs.
 _CLUSTERERS = {
     "skmeans": (lambda cfg, p: cfg.k,
-                lambda points, cfg: skmeans_init(points),
+                lambda points: skmeans_init(points),
                 lambda state: state.V,
-                lambda state, x, cfg: (*skmeans_step(state, x), ())),
+                lambda state, x: (*skmeans_step(state, x), ())),
     "oec": (lambda cfg, p: p + 1,
-            lambda points, cfg: oec_init(points, _OEC),
+            lambda points: oec_init(points, _OEC),
             lambda state: state.m,
-            lambda state, x, cfg: oec_step(state, x, _OEC)),
+            lambda state, x: oec_step(state, x, _OEC)),
 }
 
 
@@ -89,7 +89,7 @@ class StreamEngine:
             return None
         n = self._indices.n + 1
         try:
-            cluster_state, u, _, V_new, step_events = self._step(self._cluster_state, x, cfg)
+            cluster_state, u, _, V_new, step_events = self._step(self._cluster_state, x)
             u, V_new = u.u, V_new.centers
             if not (all([0.0 <= v <= 1.0 for v in u.tolist()])  # nan fails
                     and all_finite(V_new)):
@@ -118,7 +118,7 @@ class StreamEngine:
             self._buffer = buffer
             return
         try:
-            cluster_state = init(buffer, cfg)
+            cluster_state = init(buffer)
         except ValueError as exc:
             raise ClustererError(cfg.algorithm, n, exc) from exc
         self._indices = IndexSet.start(cfg.indices, centers(cluster_state),

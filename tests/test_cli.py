@@ -130,6 +130,14 @@ class TestRun:
         with pytest.raises(SystemExit, match="tiny-skmeans"):
             main(["run", "nope", "--scenario-file", str(scenario_file)])
 
+    def test_default_section_is_shared_keys_not_a_scenario(self, tmp_path, capsys):
+        f = tmp_path / "scenarios.ini"
+        f.write_text("[DEFAULT]\nk = 3\n\n[s1-xb]\ndataset = s1\nindices = xb\n")
+        with pytest.raises(SystemExit, match=r"unknown scenario 'DEFAULT' .*\(known: s1-xb\)"):
+            main(["run", "DEFAULT", "--scenario-file", str(f)])
+        assert main(["run", "s1-xb", "--scenario-file", str(f), "--out", str(tmp_path)]) == 0
+        assert "final k=3" in capsys.readouterr().out
+
     def test_unknown_key_names_key_and_known_keys(self, tmp_path, scenario_file):
         with pytest.raises(SystemExit) as exc:
             main(["run", "misspelt-key", "--scenario-file", str(scenario_file),

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcvi.core import as_vector, pairwise_sq_distances
+from streamcvi.core import as_vector
+from streamcvi.cvi import pairwise_sq_distances
 
 from helpers import validate_membership
 

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from streamcvi.cvi import INDEX_FAMILIES, IndexSet
-from streamcvi.dispersion import dispersion_about
-from streamcvi.verify import batch_accumulators, index_value, random_stream
+from streamcvi.cvi import INDEX_FAMILIES, IndexSet, dispersion_about
+from streamcvi.verify import batch_accumulators, index_value, random_stream, run_trial
 
 
 def update(family, state, V_new, u, x):
@@ -189,6 +188,27 @@ class TestBatchOracles:
         for family in ("xb", "db"):
             with pytest.raises(ValueError):
                 oracle(family, np.zeros((0, 1)), np.zeros((0, 2)), V)
+
+    @pytest.mark.parametrize("lam", [1.0, 0.9])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_single_cluster_trial(self, monkeypatch, seed, lam):
+        # with k = 1, XB's separation is the running max of ||v_1 - x||^2 on
+        # both sides and DB is undefined; a value only one side calls
+        # undefined fails the trial, so these are undefined on both
+        seen = []
+        step = IndexSet.step
+
+        def recording_step(self, *args):
+            out = step(self, *args)
+            seen.append(out[1])
+            return out
+
+        monkeypatch.setattr(IndexSet, "step", recording_step)
+        trial = run_trial(seed, k=1, lam=lam)
+        assert trial.passed and trial.k == 1 and len(seen) == trial.n
+        for values in seen:
+            assert {fam: value is None for fam, value in values.items()} == {
+                fam: fam.startswith("db") for fam in trial.max_rel_err}
 
 
 class TestIndexProperties:

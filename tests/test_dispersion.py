@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcvi.cvi import INDEX_FAMILIES, IndexSet
-from streamcvi.dispersion import dispersion_about, update_dispersion
+from streamcvi.cvi import INDEX_FAMILIES, IndexSet, dispersion_about, update_dispersion
 from streamcvi.engine import RunConfig, StreamEngine
 from streamcvi.verify import batch_accumulators, lambda_one_consistency, random_stream
 

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from streamcvi.core import MembershipVector, PrototypeSet, StreamPoint, pairwise_sq_distances
-from streamcvi.cvi import INDEX_FAMILIES, IndexSet
+from streamcvi.core import MembershipVector, PrototypeSet, StreamPoint
+from streamcvi.cvi import INDEX_FAMILIES, IndexSet, dispersion_about, pairwise_sq_distances
 from streamcvi.datagen import gen_s1, gen_s2, gen_s3
-from streamcvi.dispersion import dispersion_about
 from streamcvi.engine import ClustererError, RunConfig, StreamEngine, run
 from streamcvi.oec import OecConfig, oec_init, oec_step
 from streamcvi.skmeans import skmeans_init, skmeans_step
@@ -547,7 +546,7 @@ class TestImmutableStates:
 
     def test_index_step_leaves_earlier_states_unchanged(self):
         # a snapshot of an index state is a reference, so no step may write
-        # into an earlier state's C, G or M: s3 under OEC has births
+        # into an earlier state's D, mu or M: s3 under OEC has births
         engine = StreamEngine(RunConfig(algorithm="oec"))
         prev, frozen = None, None
         for x in gen_s3(0).X()[:600]:
