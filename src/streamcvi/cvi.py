@@ -3,8 +3,8 @@
 Four variants are maintained over a stream of (V_new, u, x) steps produced by
 an online clusterer:
 
-    xb        : J / (n * h)          J = sum_i C_i, h = min squared center gap
-    xb_lambda : (1 - lam) * J_lam / h
+    xb        : c * J / h, c = 1/n   J = sum_i C_i, h = min squared center gap
+    xb_lambda : c * J_lam / h, c = 1 - lam
     db        : mean_i max_{j!=i} (L_i + L_j) / ||v_i - v_j||^2, L_i = C_i / M_i
     db_lambda : same with L_i = C_lam_i / max(1, M_lam_i)
 
@@ -43,7 +43,6 @@ one ``index_undefined`` per family read as None.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -118,36 +117,28 @@ def check_families(families, lam: float) -> tuple[str, ...]:
     return families
 
 
-@dataclass(frozen=True)
-class _Readout:
-    """Read-out rules fixed at start, per accumulator row (one per factor)."""
-
-    rows: tuple[int, ...]           # the row each enabled family reads
-    xb_scale: tuple[float, ...]     # 1 - lam, or 1 without forgetting
-    xb_per_point: tuple[bool, ...]  # XB divides by n: no forgetting
-    xb: bool                        # some xb family is enabled
-    db_floor: np.ndarray | None     # per-row floor on M in L = C / max(floor, M);
-                                    # None when no db family is enabled
-
-
 class IndexSet(NamedTuple):
     """State of every enabled index family: one immutable value per stream point.
 
     ``D``, ``mu`` and ``M`` hold one row per forgetting factor in ``lam``:
     lam=1 (xb, db) first, then lam (xb_lambda, db_lambda), each only if a
-    family reads it. A step returns new arrays and never writes into these.
-    ``h`` is the XB separation of the last step: the minimum squared center
-    gap, or while k == 1 the running max of ||v_1 - x||^2.
+    family reads it. ``rows`` holds the row each family reads, and
+    ``db_floor`` the per-row floor on M in DB's L = C / max(floor, M), or
+    None when no db family is enabled. A step returns new arrays and never
+    writes into these. ``h`` is the XB separation of the last step: the
+    minimum squared center gap, or while k == 1 the running max of
+    ||v_1 - x||^2.
     """
 
     families: tuple[str, ...]
     lam: tuple[float, ...]
+    rows: tuple[int, ...]
+    db_floor: np.ndarray | None
     D: np.ndarray   # (s, k) scatter about mu
     mu: np.ndarray  # (s, k, p) membership-weighted mean of the points
     M: np.ndarray   # (s, k) accumulated squared membership
     h: float
     n: int
-    readout: _Readout
 
     @classmethod
     def start(cls, families, V0, lam: float = 1.0, n0: int = 0) -> "IndexSet":
@@ -157,22 +148,14 @@ class IndexSet(NamedTuple):
         families = check_families(families, lam)
         if n0 < 0:
             raise ValueError(f"warm-up count must be nonnegative, got {n0}")
-        forgetting = any(fam.endswith("_lambda") for fam in families)
-        plain = any(not fam.endswith("_lambda") for fam in families)
-        lams = tuple(float(f) for f, used in ((1.0, plain), (lam, forgetting)) if used)
-        readout = _Readout(
-            rows=tuple(lams.index(lam if fam.endswith("_lambda") else 1.0)
-                       for fam in families),
-            xb_scale=tuple(1.0 - f if f < 1.0 else 1.0 for f in lams),
-            xb_per_point=tuple(f == 1.0 for f in lams),
-            xb=any(fam.startswith("xb") for fam in families),
-            db_floor=per_row([1.0 if f < 1.0 else MASS_FLOOR for f in lams])
-            if any(fam.startswith("db") for fam in families) else None,
-        )
+        factors = [float(lam) if fam.endswith("_lambda") else 1.0 for fam in families]
+        lams = tuple(sorted(set(factors), reverse=True))
+        db_floor = (per_row([1.0 if f < 1.0 else MASS_FLOOR for f in lams])
+                    if any(fam.startswith("db") for fam in families) else None)
         mu = np.array([V0] * len(lams), dtype=float)
         s, k = mu.shape[:2]
-        return cls(families, lams, np.zeros((s, k)), mu, np.full((s, k), float(n0)),
-                   0.0, n0, readout)
+        return cls(families, lams, tuple(map(lams.index, factors)), db_floor,
+                   np.zeros((s, k)), mu, np.full((s, k), float(n0)), 0.0, n0)
 
     def float_count(self) -> int:
         return self.D.size + self.mu.size + self.M.size + 2  # + h, n
@@ -197,14 +180,13 @@ class IndexSet(NamedTuple):
             mu = np.concatenate([mu, [V_new[-born:]] * len(mu)], axis=1)
         C = dispersion_about(D, mu, M, V_new)
         n = self.n + 1
-        ro = self.readout
         db = None
         if k >= 2:
             gaps = pairwise_sq_distances(V_new)
             gaps.flat[::k + 1] = np.inf
             h = float(np.minimum.reduce(gaps, axis=None))
-            if h > 0.0 and ro.db_floor is not None:
-                L = C / np.maximum(ro.db_floor, M)
+            if h > 0.0 and self.db_floor is not None:
+                L = C / np.maximum(self.db_floor, M)
                 # The diagonal reads (L_i + L_i) / inf = 0, never above the
                 # row's off-diagonal ratios (all >= 0), so it needs no mask.
                 worst = np.maximum.reduce((L[:, :, None] + L[:, None, :]) / gaps, axis=2)
@@ -212,18 +194,18 @@ class IndexSet(NamedTuple):
         else:
             d = V_new[0] - x
             h = max(self.h, float(d @ d))
-        if ro.xb:
-            J = list(map(sum, C.tolist()))
+        J = list(map(sum, C.tolist()))
         values = {}
-        for fam, row in zip(self.families, ro.rows):
+        for fam, row in zip(self.families, self.rows):
             if fam.startswith("xb"):
-                if h > 0.0:
-                    value = ro.xb_scale[row] * J[row] / (n * h if ro.xb_per_point[row] else h)
-                else:
-                    value = math.nan
+                f = self.lam[row]
+                # c <= 1 keeps c*J/h finite wherever the value is; a divisor
+                # n*h could overflow to inf first and read a defined 0
+                value = (1.0 - f if f < 1.0 else 1.0 / n) * J[row] / h if h > 0.0 else math.nan
             else:
                 value = math.nan if db is None else db[row]
             # Overflow in the accumulators reads out as inf or nan: undefined.
             values[fam] = value if math.isfinite(value) else None
         events = [("index_undefined", fam) for fam, value in values.items() if value is None]
-        return IndexSet(self.families, self.lam, D, mu, M, h, n, ro), values, events
+        return (IndexSet(self.families, self.lam, self.rows, self.db_floor, D, mu, M, h, n),
+                values, events)

@@ -55,8 +55,9 @@ class RunConfig:
 
 class ClustererError(ValueError):
     """The clusterer failed on a point: it raised ValueError (a non-finite
-    distance or covariance estimate), or returned a membership outside [0, 1]
-    or a non-finite center. Names the algorithm and the point's 1-based n."""
+    distance or covariance estimate), or returned a membership outside [0, 1],
+    a non-finite center, or memberships or centers of the wrong shape. Names
+    the algorithm and the point's 1-based n."""
 
     def __init__(self, algorithm: str, n: int, cause: Exception):
         super().__init__(f"{algorithm} clusterer failed at n={n}: {cause}")
@@ -94,9 +95,10 @@ class StreamEngine:
             if not (all([0.0 <= v <= 1.0 for v in u.tolist()])  # nan fails
                     and all_finite(V_new)):
                 raise ValueError("memberships are not in [0, 1] or centers are not finite")
+            # raises ValueError only on memberships or centers of the wrong shape
+            indices, values, index_events = self._indices.step(V_new, u, x)
         except ValueError as exc:
             raise ClustererError(cfg.algorithm, n, exc) from exc
-        indices, values, index_events = self._indices.step(V_new, u, x)
         # Stored only now: a push that raises, here or in warm-up, changes nothing.
         self._cluster_state, self._indices = cluster_state, indices
         for kind, detail in (*step_events, *index_events):

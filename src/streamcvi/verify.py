@@ -59,7 +59,7 @@ def index_value(fam, C, M, V, n, lam=1.0, h=None):
     forgetting = fam.endswith("_lambda")
     if fam.startswith("xb"):
         J = float(np.sum(C))
-        value = (1.0 - lam) * J / h if forgetting else J / (n * h)
+        value = (1.0 - lam) * J / h if forgetting else J / n / h
     else:
         if forgetting:
             L = C / np.maximum(1.0, M)

@@ -240,6 +240,21 @@ class TestTraceSemantics:
         assert undefined > 0
         assert undefined == sum(e.kind == "index_undefined" for e in events)
 
+    @pytest.mark.parametrize("e", [500, 502, 504])
+    @pytest.mark.parametrize("gen, k", [(gen_s3, 2), (gen_s2, 11)])
+    def test_skmeans_values_are_scale_equivariant_up_to_overflow(self, gen, k, e):
+        # each index is scale-free, and scaling by a power of two is exact,
+        # so a value either overflows to None or repeats the small-scale
+        # run's bit for bit; XB read as J / (n*h) gave 0.0 once n*h overflowed
+        X = gen(0).X()
+        config = RunConfig(algorithm="skmeans", k=k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            big, _ = run(np.ldexp(X, e), config)
+            small, _ = run(np.ldexp(X, -300), config)
+        mismatched = [(b.n, fam) for b, s in zip(big, small, strict=True)
+                      for fam, v in b.values.items() if v is not None and v != s.values[fam]]
+        assert mismatched == []
+
     @pytest.mark.parametrize("e", [-300, -20, 300])
     def test_oec_run_is_scale_equivariant(self, e):
         # scaling by a power of two is exact and OEC's covariance floors are
@@ -340,6 +355,20 @@ def corrupted(step, field, value):
     return wrapper
 
 
+def misshapen(step, field):
+    """``step`` with one membership too many (field "u") or its last new
+    center dropped (field "V_new")."""
+    def wrapper(*args):
+        state, u, V_old, V_new, *events = step(*args)
+        u, V_new = u.u, V_new.centers
+        if field == "u":
+            u = np.append(u, 0.0)
+        else:
+            V_new = V_new[:-1]
+        return (state, MembershipVector(u), V_old, PrototypeSet(V_new), *events)
+    return wrapper
+
+
 class TestFailedPush:
     # (config, stream, 0-based index of the rejected point): under OEC it is
     # the point of the first birth on s3, which changes the state's size
@@ -361,6 +390,30 @@ class TestFailedPush:
         before = (engine.n, engine.state_float_count(), len(engine.trace), len(engine.events))
         monkeypatch.setattr(name, corrupted(step, field, value))
         with pytest.raises(ClustererError, match=rf"{algorithm} .*n={bad + 1}") as info:
+            engine.push(X[bad])
+        assert info.value.n == bad + 1 and info.value.algorithm == algorithm
+        after = (engine.n, engine.state_float_count(), len(engine.trace), len(engine.events))
+        assert after == before
+        monkeypatch.setattr(name, step)
+        for x in X[bad + 1:]:
+            engine.push(x)
+        assert (engine.trace, engine.events) == run(np.delete(X, bad, axis=0), config)
+
+    @pytest.mark.parametrize("field", ["u", "V_new"])
+    @pytest.mark.parametrize("algorithm", ["skmeans", "oec"])
+    def test_misshapen_step_output_changes_nothing(self, monkeypatch, algorithm, field):
+        # the point before OEC's first birth: at a birth, one center short
+        # reads as a step without one
+        config, X, bad = self.CASES[algorithm]
+        bad -= 1
+        name = f"streamcvi.engine.{algorithm}_step"
+        step = skmeans_step if algorithm == "skmeans" else oec_step
+        engine = StreamEngine(config)
+        for x in X[:bad]:
+            engine.push(x)
+        before = (engine.n, engine.state_float_count(), len(engine.trace), len(engine.events))
+        monkeypatch.setattr(name, misshapen(step, field))
+        with pytest.raises(ClustererError, match=rf"{algorithm} .*n={bad + 1}: .*shape") as info:
             engine.push(X[bad])
         assert info.value.n == bad + 1 and info.value.algorithm == algorithm
         after = (engine.n, engine.state_float_count(), len(engine.trace), len(engine.events))
