@@ -7,7 +7,8 @@ with the side the previous pair ran second (A B, B A, A B, ...), so a slow
 spell on a shared machine hurts both sides alike. Afterwards it prints, for
 each side and each end-to-end metric of the change's BENCHMARK.json, the
 median and quartiles over the pairs, the number of pairs the change won, the
-change/parent ratio of the medians, and every run that reported correct: false.
+change/parent ratio of the medians, a verdict (see ``verdict``), and every run
+that reported correct: false.
 
 ``--workload`` may be given more than once; without it every workload of the
 change's BENCHMARK.json runs, one after another, with one table each.
@@ -60,6 +61,34 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """One metric's reading from its paired runs (pair i is parent[i],
+    change[i]) and its BENCHMARK.json bound, the first that holds of:
+
+    - ``regressed``: the change's median is worse than the parent's by more
+      than ``bound`` of the parent's median;
+    - ``unresolved``: the parent's (q3 - q1) / median exceeds ``bound``, and
+      not every change run beats every parent run;
+    - ``gain``: the change wins at least 9/10 of the pairs (ties count for
+      neither side), and its median is better than the parent's by more than
+      the parent's q3 - q1;
+    - ``within bound``.
+    """
+    # negated when lower is better, so that higher is better below
+    sign = 1.0 if better == "higher" else -1.0
+    parent, change = [sign * v for v in parent], [sign * v for v in change]
+    q1, med_p, q3 = quartiles(parent)
+    med_c = statistics.median(change)
+    wins = sum(c > p for p, c in zip(parent, change))
+    if med_p - med_c > bound * abs(med_p):
+        return "regressed"
+    if q3 - q1 > bound * abs(med_p) and not min(change) > max(parent):
+        return "unresolved"
+    if 10 * wins >= 9 * len(parent) and med_c - med_p > q3 - q1:
+        return "gain"
+    return "within bound"
+
+
 def compare(roots: dict, workload: str, metrics: list, args) -> tuple[dict, list]:
     """Run the pairs of one workload and print its table; returns every run
     per side and the runs that failed or were not correct."""
@@ -82,8 +111,8 @@ def compare(roots: dict, workload: str, metrics: list, args) -> tuple[dict, list
                 if all(runs[side][i].get("correct") for side in SIDES)]
     print(f"workload {workload}: {args.pairs} pairs of {args.seconds} s, "
           f"seeds {args.seed}..{args.seed + args.pairs - 1}, {len(ok_pairs)} pairs usable")
-    print(f"{'metric':<13} {'side':<7} {'q1':>11} {'median':>11} {'q3':>11}  wins  change/parent")
-    for name, better in metrics if ok_pairs else ():
+    print(f"{'metric':<13} {'side':<7} {'q1':>11} {'median':>11} {'q3':>11}  wins  change/parent  verdict")
+    for name, better, bound in metrics if ok_pairs else ():
         vals = {side: [runs[side][i]["metrics"][name]["value"] for i in ok_pairs]
                 for side in SIDES}
         wins = sum((c > p) if better == "higher" else (c < p)
@@ -92,7 +121,8 @@ def compare(roots: dict, workload: str, metrics: list, args) -> tuple[dict, list
         ratio = medians["change"] / medians["parent"] if medians["parent"] else float("nan")
         for side in SIDES:
             q1, q2, q3 = quartiles(vals[side])
-            tail = (f"  {wins}/{len(ok_pairs)}  {ratio:.3f} ({better} is better)"
+            tail = (f"  {wins}/{len(ok_pairs)}  {ratio:.3f} ({better} is better)  "
+                    f"{verdict(vals['parent'], vals['change'], better, bound)}"
                     if side == "change" else "")
             print(f"{name:<13} {side:<7} {q1:>11.4g} {q2:>11.4g} {q3:>11.4g}{tail}")
     for side, r in bad:
@@ -118,7 +148,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     roots = {"parent": args.parent_root.resolve(), "change": args.change_root.resolve()}
     spec = json.loads((roots["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-    metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    metrics = [(m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]]
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     if args.json and len(workloads) != 1:
         ap.error("--json takes exactly one --workload; use --json-prefix for several")

@@ -73,7 +73,8 @@ class StreamEngine:
         self._buffer: list[np.ndarray] = []
         self._cluster_state = None
         self._indices: IndexSet | None = None
-        self._step = None  # the clusterer's table entry, bound when warm-up ends
+        # the clusterer's table entries, bound when warm-up ends
+        self._centers = self._step = None
         self.trace: list[TraceRecord] = []
         self.events: list[EventRecord] = []
 
@@ -92,6 +93,10 @@ class StreamEngine:
         try:
             cluster_state, u, _, V_new, step_events = self._step(self._cluster_state, x)
             u, V_new = u.u, V_new.centers
+            # a birth step one center short would otherwise read as a step without one
+            if V_new.shape != (shape := self._centers(cluster_state).shape):
+                raise ValueError(f"centers of shape {V_new.shape} for a state with "
+                                 f"centers of shape {shape}")
             if not (all([0.0 <= v <= 1.0 for v in u.tolist()])  # nan fails
                     and all_finite(V_new)):
                 raise ValueError("memberships are not in [0, 1] or centers are not finite")
@@ -125,9 +130,10 @@ class StreamEngine:
             raise ClustererError(cfg.algorithm, n, exc) from exc
         self._indices = IndexSet.start(cfg.indices, centers(cluster_state),
                                        lam=cfg.lam, n0=n)
+        self._cluster_state, self._centers, self._buffer = cluster_state, centers, []
         # The lambda, not the function it calls: it looks the function up in
         # this module's globals at call time.
-        self._cluster_state, self._step, self._buffer = cluster_state, step, []
+        self._step = step
 
     def state_float_count(self) -> int:
         """Number of scalar slots held by clustering + index state (not output)."""

@@ -37,59 +37,47 @@ class OecConfig:
     lambda_oec = 0.9
 
 
-def _log_gamma_tails(a: float, x: float) -> tuple[float, float]:
-    """log Q(a, x), the upper regularized incomplete gamma function, and the
-    log of its prefactor x^a e^-x / Gamma(a)."""
-    log_pre = a * math.log(x) - x - math.lgamma(a)
-    if x < a + 1.0:
-        # P = 1 - Q = prefactor * sum_n x^n / (a (a+1) ... (a+n))
-        term = total = 1.0 / a
-        n = a
-        while term > 1e-17 * total:
-            n += 1.0
-            term *= x / n
-            total += term
-        return math.log1p(-math.exp(log_pre + math.log(total))), log_pre
-    # Q = prefactor / (x+1-a - 1(1-a) / (x+3-a - 2(2-a) / ...)), by modified Lentz
-    b = x + 1.0 - a
-    c, d = math.inf, 1.0 / b
-    cf = d
-    for i in range(1, 10000):
-        an = -i * (i - a)
-        b += 2.0
-        d = 1.0 / (an * d + b)
-        c = b + an / c
-        cf *= d * c
-        if abs(d * c - 1.0) < 3e-16:
-            break
-    else:
-        raise ValueError(f"incomplete gamma continued fraction did not converge at a={a}, x={x}")
-    return log_pre + math.log(cf), log_pre
+def _log_chi2_tail(p_dof: int, x: float) -> float:
+    """log Q(p_dof/2, x), the upper regularized incomplete gamma function at
+    x > 0, from its finite sum: e^-x sum_{j<a} x^j / j! for an integer a =
+    p_dof/2, and erfc(sqrt x) + e^-x sum_{j<a-1/2} x^(j+1/2) / Gamma(j+3/2)
+    for a half-integer a. Each term is taken in logs, an erfc that underflows
+    to 0 is left out, and the terms are added by math.fsum."""
+    half = (p_dof % 2) / 2
+    log_x = math.log(x)
+    logs = [(j + half) * log_x - x - math.lgamma(j + half + 1.0) for j in range(p_dof // 2)]
+    if half and (tail := math.erfc(math.sqrt(x))) > 0.0:
+        logs.append(math.log(tail))
+    if not logs:
+        return -math.inf
+    top = max(logs)
+    return top + math.log(math.fsum([math.exp(t - top) for t in logs]))
 
 
 def chi2_inverse(p_dof: int, gamma: float) -> float:
     """Upper-half quantile, gamma in (0.5, 1), of the chi-squared distribution
     with p_dof degrees of freedom.
 
-    With a = p_dof/2, solves Q(a, x) = 1 - gamma (exact) by Newton steps on
-    log x from x = a + 1, and returns 2x. log Q is concave in log x, so the
-    steps cross the root at most once, then fall monotonically to it. No
-    convergence in 100 steps raises ValueError.
+    With a = p_dof/2, Q(a, x) is a finite sum (see _log_chi2_tail) that falls
+    as x grows. Doubling from x = a brackets the x where log Q(a, x) crosses
+    log(1 - gamma), bisection on doubles narrows the bracket to two adjacent
+    floats, and the upper one, doubled, is returned. At p_dof = 2, where
+    log Q = -x, that is -2 log(1 - gamma) exactly.
     """
     if not is_integer(p_dof) or p_dof < 1:
         raise ValueError(f"degrees of freedom must be a positive integer, got {p_dof!r}")
     if not (0.5 < gamma < 1.0):
         raise ValueError(f"gamma must be in (0.5, 1), got {gamma}")
-    a = p_dof / 2
-    log_target, x = math.log(1.0 - gamma), a + 1.0
-    for _ in range(100):
-        log_q, log_pre = _log_gamma_tails(a, x)
-        # d log Q / d log x = -prefactor / Q
-        step = (log_target - log_q) * math.exp(log_q - log_pre)
-        x *= math.exp(-step)
-        if abs(step) < 1e-10:
-            return 2.0 * x
-    raise ValueError(f"the chi-squared({p_dof}) quantile at {gamma} did not converge")
+    log_target = math.log1p(-gamma)
+    lo, hi = 0.0, p_dof / 2
+    while _log_chi2_tail(p_dof, hi) > log_target:
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _log_chi2_tail(p_dof, mid) > log_target:
+            lo = mid
+        else:
+            hi = mid
+    return 2.0 * hi
 
 
 def mahalanobis_sq(x: np.ndarray, m: np.ndarray, R: np.ndarray) -> np.ndarray:

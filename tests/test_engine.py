@@ -402,8 +402,8 @@ class TestFailedPush:
     @pytest.mark.parametrize("field", ["u", "V_new"])
     @pytest.mark.parametrize("algorithm", ["skmeans", "oec"])
     def test_misshapen_step_output_changes_nothing(self, monkeypatch, algorithm, field):
-        # the point before OEC's first birth: at a birth, one center short
-        # reads as a step without one
+        # the point before OEC's first birth: a birth step one center short is
+        # test_birth_step_one_center_short_changes_nothing
         config, X, bad = self.CASES[algorithm]
         bad -= 1
         name = f"streamcvi.engine.{algorithm}_step"
@@ -419,6 +419,33 @@ class TestFailedPush:
         after = (engine.n, engine.state_float_count(), len(engine.trace), len(engine.events))
         assert after == before
         monkeypatch.setattr(name, step)
+        for x in X[bad + 1:]:
+            engine.push(x)
+        assert (engine.trace, engine.events) == run(np.delete(X, bad, axis=0), config)
+
+    def test_birth_step_one_center_short_changes_nothing(self, monkeypatch):
+        # OEC's first birth on s3 is at n=221; the wrapped step drops the new
+        # center only when the step grew k
+        config, X, bad = self.CASES["oec"]
+        name = "streamcvi.engine.oec_step"
+
+        def short_birth(*args):
+            state, u, V_old, V_new, events = oec_step(*args)
+            if V_new.centers.shape[0] > V_old.centers.shape[0]:
+                V_new = PrototypeSet(V_new.centers[:-1])
+            return state, u, V_old, V_new, events
+
+        engine = StreamEngine(config)
+        monkeypatch.setattr(name, short_birth)
+        for x in X[:bad]:
+            engine.push(x)
+        before = (engine.n, engine.state_float_count(), len(engine.trace), len(engine.events))
+        with pytest.raises(ClustererError, match=rf"oec .*n={bad + 1}: .*shape") as info:
+            engine.push(X[bad])
+        assert info.value.n == bad + 1 and info.value.algorithm == "oec"
+        after = (engine.n, engine.state_float_count(), len(engine.trace), len(engine.events))
+        assert after == before
+        monkeypatch.setattr(name, oec_step)
         for x in X[bad + 1:]:
             engine.push(x)
         assert (engine.trace, engine.events) == run(np.delete(X, bad, axis=0), config)

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from streamcvi.oec import (
     OecConfig,
     OecState,
     _ForgetfulStats,
+    _log_chi2_tail,
     _regularize,
     chi2_inverse,
     mahalanobis_sq,
@@ -105,6 +107,34 @@ class TestChi2Inverse:
             q = np.array([chi2_inverse(p_dof, g) for g in CHI2_GAMMAS])
             assert np.isfinite(q).all() and (q > 0.0).all()
             assert (np.diff(q) > 0.0).all()
+
+    def test_two_dof_is_exact(self):
+        # log Q(1, x) = -x: the bisection ends on -log(1 - gamma) itself
+        for gamma in CHI2_GAMMAS:
+            assert chi2_inverse(2, gamma) == -2.0 * math.log1p(-gamma)
+
+    def test_underflowing_erfc_tail(self):
+        # near p = 1000 the upper quantile's x is past 745, where erfc(sqrt x)
+        # underflows to 0 and only the finite sum is left
+        for p_dof in (999, 1001):
+            for gamma in (0.999, 1 - 2.0**-53):
+                expected = float(stats.chi2.isf(1.0 - gamma, p_dof))
+                assert chi2_inverse(p_dof, gamma) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("p_dof, xs", [
+        *[(p, np.geomspace(1e-3, 1500.0, 40)) for p in CHI2_DOFS[:-1]],
+        # erfc(sqrt x) underflows to 0 here. Nearer x = p/2 both this sum and
+        # scipy's gammaincc are off by up to 6e-13 in log Q at this p, against
+        # a 40-digit reference, so the two cannot agree to 1e-13 there.
+        (999, (750.0, 800.0, 1000.0, 1500.0)),
+        (1001, (750.0, 800.0, 1000.0, 1500.0)),
+    ])
+    def test_log_tail_matches_scipy(self, p_dof, xs):
+        # both tails: Q near 1 below x = p/2, Q down to 1e-300 above it
+        for x in map(float, xs):
+            q = special.gammaincc(p_dof / 2, x)
+            if q > 1e-300:
+                assert _log_chi2_tail(p_dof, x) == pytest.approx(math.log(q), rel=1e-13, abs=1e-13)
 
     def test_no_run_loads_scipy(self, tmp_path):
         # importing scipy dominates a run's start-up time and memory, and no
