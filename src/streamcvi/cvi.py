@@ -74,13 +74,9 @@ def update_dispersion(D, mu, M, lam: tuple[float, ...], u, x):
     """Advance every cluster's (D, mu, M), under every forgetting factor in
     ``lam``, by one sample; returns the new (D, mu, M).
 
-    ``u`` holds the (k,) memberships of ``x``. The caller validates that
-    ``u`` lies in [0, 1], and that ``x`` is a finite (p,) float vector.
+    ``StreamEngine.push`` guarantees, and nothing here checks, that ``u``
+    holds k memberships in [0, 1] and ``x`` is a finite (p,) float vector.
     """
-    if u.shape != mu.shape[1:2]:
-        raise ValueError(f"memberships of shape {u.shape} for accumulators of shape {mu.shape}")
-    if x.shape != mu.shape[2:]:
-        raise ValueError(f"expected dimension {mu.shape[2]}, got shape {x.shape}")
     lam = _lam_factor(lam)
     w = u * u
     lam_M = lam * M
@@ -166,15 +162,14 @@ class IndexSet(NamedTuple):
         the memberships and the (p,) point; returns the new state, each
         family's value (None where undefined) and the step's (kind, detail)
         events: ``("index_undefined", family)`` for each None, in ``families``
-        order. ``u`` covers the clusters the state holds; each row of
-        ``V_new`` past them is a cluster born this step, which starts empty
-        (M = 0, D = 0) with its mean at its center. u must be in [0, 1] and
-        every array finite; nothing here re-checks them."""
+        order. Each row of ``V_new`` past the k clusters the state holds is
+        a cluster born this step, which starts empty (M = 0, D = 0) with its
+        mean at its center. Unchecked, as ``StreamEngine.push`` guarantees:
+        ``u`` holds k memberships in [0, 1], and ``V_new`` at least k finite
+        rows of ``x``'s dimension."""
         D, mu, M = update_dispersion(self.D, self.mu, self.M, self.lam, u, x)
         k = V_new.shape[0]
         born = k - M.shape[1]
-        if born < 0 or V_new.shape[1:] != x.shape:
-            raise ValueError(f"centers of shape {V_new.shape} after {mu.shape[1]} clusters")
         if born > 0:
             D, M = (np.pad(a, ((0, 0), (0, born))) for a in (D, M))
             mu = np.concatenate([mu, [V_new[-born:]] * len(mu)], axis=1)

@@ -23,7 +23,8 @@ from .stream_io import EventRecord, TraceRecord
 _OEC = OecConfig()
 
 # algorithm -> (warm-up count(cfg, p), init(points), centers(state),
-# step(state, x)); every step returns (state, u, V_old, V_new, events).
+# step(state, x)); every step returns (state, u, V_old, V_new, events), and the
+# engine reads u and centers(state); V_old and V_new stay for perfbench/oracle.py.
 # The lambdas look the clusterer functions up in this module's globals at call
 # time, so a name patched here (by a test or a tracer) is the one that runs.
 _CLUSTERERS = {
@@ -90,25 +91,25 @@ class StreamEngine:
             self._warm_up(x, cfg)
             return None
         n = self._indices.n + 1
+        k = self._indices.M.shape[1]
         try:
-            cluster_state, u, _, V_new, step_events = self._step(self._cluster_state, x)
-            u, V_new = u.u, V_new.centers
-            # a birth step one center short would otherwise read as a step without one
-            if V_new.shape != (shape := self._centers(cluster_state).shape):
-                raise ValueError(f"centers of shape {V_new.shape} for a state with "
-                                 f"centers of shape {shape}")
+            cluster_state, u, _, _, step_events = self._step(self._cluster_state, x)
+            u, V = u.u, self._centers(cluster_state)
+            # the one check of a step's output; the state keeps its k clusters
+            if u.shape != (k,) or V.shape[0] < k or V.shape[1:] != x.shape:
+                raise ValueError(f"memberships of shape {u.shape} and centers of shape "
+                                 f"{V.shape} after {k} clusters of dimension {x.size}")
             if not (all([0.0 <= v <= 1.0 for v in u.tolist()])  # nan fails
-                    and all_finite(V_new)):
+                    and all_finite(V)):
                 raise ValueError("memberships are not in [0, 1] or centers are not finite")
-            # raises ValueError only on memberships or centers of the wrong shape
-            indices, values, index_events = self._indices.step(V_new, u, x)
         except ValueError as exc:
             raise ClustererError(cfg.algorithm, n, exc) from exc
+        indices, values, index_events = self._indices.step(V, u, x)
         # Stored only now: a push that raises, here or in warm-up, changes nothing.
         self._cluster_state, self._indices = cluster_state, indices
         for kind, detail in (*step_events, *index_events):
             self.events.append(EventRecord(n, kind, detail))
-        record = TraceRecord(n, V_new.shape[0], values)
+        record = TraceRecord(n, V.shape[0], values)
         self.trace.append(record)
         return record
 

@@ -210,7 +210,8 @@ def oec_step(state: OecState, x_new, config: OecConfig):
 
     Returns (state', u, V_old, V_new, events). u and V_old cover the
     clusters that existed when x arrived; a cluster created this step is the
-    last row of V_new alone.
+    last row of V_new alone. The engine reads u and the new state's m; V_old
+    and V_new stay for perfbench/oracle.py.
     """
     x = np.asarray(x_new, dtype=float)
     if x.shape != (state.p,):
@@ -219,25 +220,27 @@ def oec_step(state: OecState, x_new, config: OecConfig):
 
     F = mahalanobis_sq(x, state.m, state.R)
     u = oec_membership(F)
-    winner = int(u.argmax())
+    ul = u.tolist()  # k-entry bookkeeping on lists: numpy calls cost more
+    winner = ul.index(max(ul))  # the first maximum, as argmax
 
     # The outlier boundary shields a stabilized prototype from points far
     # outside it; such points only feed the forgetful prototype.
-    shielded = (state.count >= config.n_s) & (F > state.chi2_out)
+    counts = state.count.tolist()
+    shielded = [c >= config.n_s and f > state.chi2_out for c, f in zip(counts, F.tolist())]
     count = state.count
     if not shielded[winner]:
-        count = count.copy()
-        count[winner] += 1
+        counts[winner] += 1
+        count = np.array(counts)
 
     m, R, W = state.m, state.R, state.W
-    rows = (~shielded & (u > 0.0)).nonzero()[0]
-    if rows.size:
+    rows = [i for i, (s, ui) in enumerate(zip(shielded, ul)) if not s and ui > 0.0]
+    if rows:
         m, R, W = m.copy(), R.copy(), W.copy()
     for i in rows:
         # Membership-weighted update of mean and covariance, cov' = (W/W') (cov
         # + (u/W') d d^T), made on R by Sherman-Morrison: a positive rank-one
         # update, so R^T R stays positive definite.
-        ui, Wi = float(u[i]), float(W[i])
+        ui, Wi = ul[i], float(W[i])
         W_new = Wi + ui
         d = x - m[i]
         m[i] = m[i] + (ui / W_new) * d
@@ -250,9 +253,8 @@ def oec_step(state: OecState, x_new, config: OecConfig):
 
     # New-cluster test: suppressed while any cluster is still stabilizing.
     streak = 0
-    # A minimum at or past its bound puts every entry there; nan reads as "not all".
-    if np.minimum.reduce(count) >= config.n_s:
-        outside_all = np.minimum.reduce(mahalanobis_sq(forget.m, m, R)) > state.chi2_out
+    if min(counts) >= config.n_s:  # a nan distance below reads as "not outside"
+        outside_all = all([f > state.chi2_out for f in mahalanobis_sq(forget.m, m, R).tolist()])
         streak = state.outside_streak + 1 if outside_all else 0
         if streak >= config.n_s:
             # forget was just updated from W >= 1, so its mass W exceeds 1.

@@ -69,12 +69,6 @@ class TestUpdateDispersion:
         for v in vs[::50]:
             assert C_about(acc, v)[0] == pytest.approx(batch_C(xs, us, v, 1.0), rel=1e-9)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            step1(empty(1, 2), 1.0, [1, 1, 1])
-        with pytest.raises(ValueError):  # one membership for two clusters
-            update_dispersion(*empty(2, 2), (1.0,), np.array([1.0]), np.ones(2))
-
     def test_non_finite_input(self):
         # A point is validated once, where it enters the engine, and a
         # step's memberships once, by the engine after the clusterer step

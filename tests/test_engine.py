@@ -343,30 +343,40 @@ class TestTraceSemantics:
         assert e1 == e2
 
 
-def corrupted(step, field, value):
-    """``step`` with entry 0 of its memberships (field "u") or of its new
-    centers (field "V_new") replaced by ``value``, in copies: the clusterer
-    state the step returns is left as it computed it."""
+STEPS = {"skmeans": skmeans_step, "oec": oec_step}
+# the field of each clusterer state that holds its (k, p) centers, which the
+# engine reads as the step's new centers
+CENTERS = {"skmeans": "V", "oec": "m"}
+
+
+def altered(algorithm, change):
+    """``algorithm``'s step with its memberships u and the returned state's
+    centers V replaced by ``change(u, V)``, which returns new arrays; the
+    rest of the step's output is left as the step computed it."""
+    step, field = STEPS[algorithm], CENTERS[algorithm]
+
     def wrapper(*args):
-        state, u, V_old, V_new, *events = step(*args)
-        u, V_new = u.u.copy(), V_new.centers.copy()
-        (u if field == "u" else V_new).flat[0] = value
-        return (state, MembershipVector(u), V_old, PrototypeSet(V_new), *events)
+        state, u, *rest = step(*args)
+        u, V = change(u.u, getattr(state, field))
+        return (state._replace(**{field: V}), MembershipVector(u), *rest)
     return wrapper
 
 
-def misshapen(step, field):
-    """``step`` with one membership too many (field "u") or its last new
-    center dropped (field "V_new")."""
-    def wrapper(*args):
-        state, u, V_old, V_new, *events = step(*args)
-        u, V_new = u.u, V_new.centers
-        if field == "u":
-            u = np.append(u, 0.0)
-        else:
-            V_new = V_new[:-1]
-        return (state, MembershipVector(u), V_old, PrototypeSet(V_new), *events)
-    return wrapper
+def with_first(a, value):
+    """A copy of ``a`` with entry 0 replaced by ``value``."""
+    a = a.copy()
+    a.flat[0] = value
+    return a
+
+
+# step outputs of the wrong shape, keyed by the case's id
+MISSHAPEN = {
+    "u": lambda u, V: (np.append(u, 0.0), V),           # one membership too many
+    "V_new": lambda u, V: (u, V[:-1]),                  # the state drops its last center
+    "V_new_dim": lambda u, V: (u, V[:, :-1]),           # centers of another dimension
+    "u_short": lambda u, V: (u[:-1], V),                # one membership too few
+    "fewer_centers": lambda u, V: (u, V[:u.shape[0] - 1]),  # fewer than the index state
+}
 
 
 class TestFailedPush:
@@ -377,57 +387,66 @@ class TestFailedPush:
         "oec": (RunConfig(algorithm="oec"), gen_s3(0).X()[:260], 220),
     }
 
+    def assert_rejected(self, monkeypatch, algorithm, bad, change=None, point=None, match=""):
+        """Push the case's stream up to 0-based point ``bad``, then that point
+        (or ``point``) through a step whose output ``change`` alters. The push
+        must raise a ClustererError naming n = bad + 1 and change nothing, and
+        the unaltered step must then resume to the run without point ``bad``."""
+        config, X, _ = self.CASES[algorithm]
+        engine = StreamEngine(config)
+        for x in X[:bad]:
+            engine.push(x)
+        before = (engine.n, engine.state_float_count(), len(engine.trace), len(engine.events))
+        if change is not None:
+            monkeypatch.setattr(f"streamcvi.engine.{algorithm}_step", altered(algorithm, change))
+        with pytest.raises(ClustererError, match=rf"{algorithm} .*n={bad + 1}{match}") as info:
+            engine.push(X[bad] if point is None else point)
+        assert info.value.n == bad + 1 and info.value.algorithm == algorithm
+        after = (engine.n, engine.state_float_count(), len(engine.trace), len(engine.events))
+        assert after == before
+        monkeypatch.undo()
+        for x in X[bad + 1:]:
+            engine.push(x)
+        assert (engine.trace, engine.events) == run(np.delete(X, bad, axis=0), config)
+
     @pytest.mark.parametrize("field, value", [("u", 1.5), ("u", -0.1), ("u", np.nan),
                                               ("V_new", np.inf)])
     @pytest.mark.parametrize("algorithm", ["skmeans", "oec"])
     def test_failed_push_changes_nothing(self, monkeypatch, algorithm, field, value):
-        config, X, bad = self.CASES[algorithm]
-        name = f"streamcvi.engine.{algorithm}_step"
-        step = skmeans_step if algorithm == "skmeans" else oec_step
-        engine = StreamEngine(config)
-        for x in X[:bad]:
-            engine.push(x)
-        before = (engine.n, engine.state_float_count(), len(engine.trace), len(engine.events))
-        monkeypatch.setattr(name, corrupted(step, field, value))
-        with pytest.raises(ClustererError, match=rf"{algorithm} .*n={bad + 1}") as info:
-            engine.push(X[bad])
-        assert info.value.n == bad + 1 and info.value.algorithm == algorithm
-        after = (engine.n, engine.state_float_count(), len(engine.trace), len(engine.events))
-        assert after == before
-        monkeypatch.setattr(name, step)
-        for x in X[bad + 1:]:
-            engine.push(x)
-        assert (engine.trace, engine.events) == run(np.delete(X, bad, axis=0), config)
+        def change(u, V):
+            return (with_first(u, value), V) if field == "u" else (u, with_first(V, value))
 
-    @pytest.mark.parametrize("field", ["u", "V_new"])
+        self.assert_rejected(monkeypatch, algorithm, self.CASES[algorithm][2], change)
+
+    @pytest.mark.parametrize("field", ["u", "V_new", "V_new_dim"])
     @pytest.mark.parametrize("algorithm", ["skmeans", "oec"])
     def test_misshapen_step_output_changes_nothing(self, monkeypatch, algorithm, field):
-        # the point before OEC's first birth: a birth step one center short is
-        # test_birth_step_one_center_short_changes_nothing
-        config, X, bad = self.CASES[algorithm]
-        bad -= 1
-        name = f"streamcvi.engine.{algorithm}_step"
-        step = skmeans_step if algorithm == "skmeans" else oec_step
-        engine = StreamEngine(config)
-        for x in X[:bad]:
-            engine.push(x)
-        before = (engine.n, engine.state_float_count(), len(engine.trace), len(engine.events))
-        monkeypatch.setattr(name, misshapen(step, field))
-        with pytest.raises(ClustererError, match=rf"{algorithm} .*n={bad + 1}: .*shape") as info:
-            engine.push(X[bad])
-        assert info.value.n == bad + 1 and info.value.algorithm == algorithm
-        after = (engine.n, engine.state_float_count(), len(engine.trace), len(engine.events))
-        assert after == before
-        monkeypatch.setattr(name, step)
-        for x in X[bad + 1:]:
-            engine.push(x)
-        assert (engine.trace, engine.events) == run(np.delete(X, bad, axis=0), config)
+        # the point before OEC's first birth
+        bad = self.CASES[algorithm][2] - 1
+        self.assert_rejected(monkeypatch, algorithm, bad, MISSHAPEN[field], match=": .*shape")
+
+    @pytest.mark.parametrize("field", ["u_short", "u", "fewer_centers"])
+    @pytest.mark.parametrize("algorithm", ["skmeans", "oec"])
+    def test_output_the_index_state_cannot_take_changes_nothing(self, monkeypatch,
+                                                                algorithm, field):
+        # under OEC, at the first birth: u must cover the k clusters the index
+        # state held before it, not the newborn too, and the state keep them
+        bad = self.CASES[algorithm][2]
+        self.assert_rejected(monkeypatch, algorithm, bad, MISSHAPEN[field], match=": .*shape")
+
+    @pytest.mark.parametrize("algorithm", ["skmeans", "oec"])
+    def test_point_of_another_dimension_changes_nothing(self, monkeypatch, algorithm):
+        # as_vector accepts it; the clusterer step's own check of x rejects it
+        _, X, bad = self.CASES[algorithm]
+        self.assert_rejected(monkeypatch, algorithm, bad, point=np.append(X[bad], 0.0),
+                             match=": .*shape")
 
     def test_birth_step_one_center_short_changes_nothing(self, monkeypatch):
-        # OEC's first birth on s3 is at n=221; the wrapped step drops the new
-        # center only when the step grew k
+        # OEC's first birth on s3 is at n=221. The wrapped step drops the
+        # newborn from the V_new it returns, which the engine does not read:
+        # it takes the centers from the clusterer state, so the run is the
+        # clean one
         config, X, bad = self.CASES["oec"]
-        name = "streamcvi.engine.oec_step"
 
         def short_birth(*args):
             state, u, V_old, V_new, events = oec_step(*args)
@@ -435,20 +454,11 @@ class TestFailedPush:
                 V_new = PrototypeSet(V_new.centers[:-1])
             return state, u, V_old, V_new, events
 
-        engine = StreamEngine(config)
-        monkeypatch.setattr(name, short_birth)
-        for x in X[:bad]:
-            engine.push(x)
-        before = (engine.n, engine.state_float_count(), len(engine.trace), len(engine.events))
-        with pytest.raises(ClustererError, match=rf"oec .*n={bad + 1}: .*shape") as info:
-            engine.push(X[bad])
-        assert info.value.n == bad + 1 and info.value.algorithm == "oec"
-        after = (engine.n, engine.state_float_count(), len(engine.trace), len(engine.events))
-        assert after == before
-        monkeypatch.setattr(name, oec_step)
-        for x in X[bad + 1:]:
-            engine.push(x)
-        assert (engine.trace, engine.events) == run(np.delete(X, bad, axis=0), config)
+        monkeypatch.setattr("streamcvi.engine.oec_step", short_birth)
+        trace, events = run(X, config)
+        monkeypatch.undo()
+        assert EventRecord(bad + 1, "cluster_created", "k=2") in events
+        assert (trace, events) == run(X, config)
 
     def test_failed_warmup_changes_nothing(self):
         # OEC's warm-up covariance overflows at n=3 (see
@@ -534,6 +544,24 @@ class TestDynamicK:
         # the cluster count of that moment
         ks = [r.k for r in trace]
         assert ks == sorted(ks)
+
+    @pytest.mark.parametrize("gen", [gen_s2, gen_s3])
+    def test_index_state_holds_the_clusterer_states_k(self, gen):
+        # after every push, each birth and the step after it included, the
+        # index state, the clusterer state and the trace row hold one k, which
+        # only grows, by one per cluster_created event
+        engine = StreamEngine(RunConfig(algorithm="oec"))
+        k, logged = 1, 0
+        for x in gen(0).X():
+            row = engine.push(x)
+            if row is None:
+                continue
+            new_events, logged = engine.events[logged:], len(engine.events)
+            k += sum(e.kind == "cluster_created" for e in new_events)
+            assert engine._indices.M.shape[1] == k
+            assert engine._centers(engine._cluster_state).shape[0] == k
+            assert row.k == k
+        assert k > 1
 
     def test_db_defined_once_second_cluster_exists(self):
         stream = self.drifting_stream()
